@@ -3,8 +3,9 @@
 // paper-vs-measured table layout.
 //
 // Absolute numbers are not expected to match the paper (the substrate is a
-// calibrated simulator and the workloads are scaled down; see
-// EXPERIMENTS.md); every harness prints the paper's value next to the
+// calibrated simulator and the workloads are scaled down; see the
+// docs/ARCHITECTURE.md section "ompnow / apps -- programming model and
+// experiments"); every harness prints the paper's value next to the
 // measured one so the *shape* can be checked row by row.
 #pragma once
 

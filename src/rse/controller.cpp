@@ -1,8 +1,8 @@
 #include "rse/controller.hpp"
 
 #include <algorithm>
-#include <set>
 #include <string>
+#include <tuple>
 
 #include "chk/checker.hpp"
 #include "obs/trace.hpp"
@@ -56,13 +56,33 @@ void RseController::begin_round(tmk::NodeRuntime& rt, const tmk::McastDiffReques
 
 tmk::ValidNoticesP RseController::local_valid_notices(tmk::NodeRuntime& rt) const {
   tmk::ValidNoticesP out;
-  for (PageId p = 0; p < rt.page_count(); ++p) {
-    const tmk::PageState& ps = rt.page(p);
-    if (!ps.pending.empty()) {
-      out.entries.emplace_back(p, ps.valid_vc);
-    }
-  }
+  const std::vector<PageId> pending = rt.pending_pages();
+  out.entries.reserve(pending.size());
+  for (PageId p : pending) out.entries.emplace_back(p, rt.page(p).valid_vc);
   return out;
+}
+
+std::span<const RseController::Holder> RseController::HoldersIndex::of(PageId page) const {
+  const auto range = std::ranges::equal_range(holders, page, {}, &Holder::page);
+  return {range.begin(), range.end()};
+}
+
+std::shared_ptr<const RseController::HoldersIndex> RseController::index_of(
+    const std::shared_ptr<const std::vector<tmk::ValidNoticesP>>& table) {
+  if (last_index_ != nullptr && last_index_->table == table) return last_index_;
+  auto index = std::make_shared<HoldersIndex>();
+  index->table = table;
+  std::size_t entries = 0;
+  for (const tmk::ValidNoticesP& vn : *table) entries += vn.entries.size();
+  index->holders.reserve(entries);
+  for (net::NodeId t = 0; t < table->size(); ++t) {
+    for (const auto& [page, vc] : (*table)[t].entries) index->holders.push_back({page, t, &vc});
+  }
+  std::sort(index->holders.begin(), index->holders.end(), [](const Holder& a, const Holder& b) {
+    return std::tie(a.page, a.node) < std::tie(b.page, b.node);
+  });
+  last_index_ = index;
+  return index;
 }
 
 void RseController::enter(tmk::NodeRuntime& rt) {
@@ -108,13 +128,11 @@ void RseController::enter(tmk::NodeRuntime& rt) {
       }
     }
 
-    // Index the table for O(log) per-fault lookups.
-    st.table_index.assign(n, {});
-    for (std::size_t t = 0; t < n; ++t) {
-      for (const auto& [page, vc] : (*st.table)[t].entries) {
-        st.table_index[t].emplace(page, &vc);
-      }
-      rt.charge(kPerEntryCost * static_cast<std::int64_t>((*st.table)[t].entries.size()));
+    // Index the table for O(log) per-fault lookups; the virtual cost is
+    // each node scanning every entry.
+    st.holders = index_of(st.table);
+    for (const tmk::ValidNoticesP& vn : *st.table) {
+      rt.charge(kPerEntryCost * static_cast<std::int64_t>(vn.entries.size()));
     }
     rt.cpu().flush();
   }
@@ -123,11 +141,8 @@ void RseController::enter(tmk::NodeRuntime& rt) {
   // Write-protect dirty pages so that pre-section modifications are flushed
   // into diffs at the first replicated write (the lazy-diff hazard fix of
   // Section 5.3).
-  for (PageId p = 0; p < rt.page_count(); ++p) {
-    if (rt.page(p).has_twin()) {
-      rt.page(p).rse_write_protected = true;
-    }
-  }
+  st.protected_pages = rt.twin_pages();
+  for (PageId p : st.protected_pages) rt.page(p).rse_write_protected = true;
 
   st.active = true;
   rt.set_in_replicated_section(true);
@@ -147,12 +162,11 @@ void RseController::exit(tmk::NodeRuntime& rt) {
 
   // Remaining write-protected dirty pages return to their normal state
   // (Section 5.3); their twins still hold the pre-section modifications.
-  for (PageId p = 0; p < rt.page_count(); ++p) {
-    rt.page(p).rse_write_protected = false;
-  }
+  for (PageId p : st.protected_pages) rt.page(p).rse_write_protected = false;
+  st.protected_pages.clear();
   st.active = false;
   st.table = nullptr;
-  st.table_index.clear();
+  st.holders = nullptr;
   // Frames of rounds that never completed (watchdog-abandoned; the page was
   // then validated by recovery's own complete batch) must not survive into
   // the next section, whose pending sets they say nothing about.
@@ -172,31 +186,41 @@ void RseController::exit(tmk::NodeRuntime& rt) {
 
 std::optional<net::NodeId> RseController::elected_requester(const NodeState& st,
                                                             PageId page) const {
-  for (net::NodeId t = 0; t < st.table_index.size(); ++t) {
-    if (st.table_index[t].contains(page)) return t;
-  }
-  return std::nullopt;
+  const auto holders = st.holders->of(page);
+  if (holders.empty()) return std::nullopt;
+  return holders.front().node;
 }
 
 tmk::WantedByOwner RseController::union_missing(tmk::NodeRuntime& rt, const NodeState& st,
                                                 PageId page) const {
-  std::map<net::NodeId, std::set<std::uint32_t>> want;
-  const auto& notices = rt.page_notices(page);
-  for (net::NodeId t = 0; t < st.table_index.size(); ++t) {
-    auto it = st.table_index[t].find(page);
-    if (it == st.table_index[t].end()) continue;  // t holds a valid copy
-    const tmk::VectorClock& valid = *it->second;
-    for (const tmk::IntervalRecordPtr& rec : notices) {
-      if (rec->owner == t) continue;  // own writes are never missing
-      if (!valid.covers(rec->owner, rec->index)) {
-        want[rec->owner].insert(rec->index);
+  // A notice is missing iff some holder other than its owner (own writes
+  // are never missing) does not cover it, i.e. iff its index exceeds the
+  // least validity those holders have for the owner.  That floor is worked
+  // out once per owner, so the cost is notices + holders x owners rather
+  // than notices x holders.  Threads without an entry hold a valid copy.
+  constexpr std::uint32_t kUnknown = 0xFFFFFFFFu;
+  const auto holders = st.holders->of(page);
+  std::vector<std::uint32_t> floor(cluster_.node_count(), kUnknown);
+  auto floor_of = [&](net::NodeId owner) {
+    if (floor[owner] == kUnknown) {
+      std::uint32_t least = kUnknown - 1;  // no other holder: nothing missing
+      for (const Holder& h : holders) {
+        if (h.node != owner) least = std::min(least, h.valid->at(owner));
       }
+      floor[owner] = least;
     }
+    return floor[owner];
+  };
+  std::vector<std::pair<net::NodeId, std::uint32_t>> want;
+  for (const tmk::IntervalRecordPtr& rec : rt.page_notices(page)) {
+    if (rec->index > floor_of(rec->owner)) want.emplace_back(rec->owner, rec->index);
   }
+  std::sort(want.begin(), want.end());
+  want.erase(std::unique(want.begin(), want.end()), want.end());
   tmk::WantedByOwner out;
-  out.reserve(want.size());
-  for (auto& [owner, ivs] : want) {
-    out.emplace_back(owner, std::vector<std::uint32_t>(ivs.begin(), ivs.end()));
+  for (const auto& [owner, index] : want) {
+    if (out.empty() || out.back().first != owner) out.emplace_back(owner, std::vector<std::uint32_t>{});
+    out.back().second.push_back(index);
   }
   return out;
 }

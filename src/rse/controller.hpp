@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "tmk/runtime.hpp"
@@ -90,13 +91,32 @@ class RseController final : public tmk::RseHooks {
     std::vector<net::NodeId> awaiting_replies;
   };
 
+  /// One valid-notice table entry: thread `node` will fault on `page`, and
+  /// its copy reflects `valid` (points into the table).
+  struct Holder {
+    tmk::PageId page;
+    net::NodeId node;
+    const tmk::VectorClock* valid;
+  };
+  /// The page -> holders index of one section's table, sorted by (page,
+  /// node).  Every node receives the same table, so the index is built once
+  /// and shared; holding `table` keeps the entries `valid` points into alive.
+  struct HoldersIndex {
+    std::shared_ptr<const std::vector<tmk::ValidNoticesP>> table;
+    std::vector<Holder> holders;
+    /// The holders of `page`, ascending by node.
+    [[nodiscard]] std::span<const Holder> of(tmk::PageId page) const;
+  };
+
   struct NodeState {
     bool active = false;
     /// The aggregated valid-notice table multicast by the master.
     std::shared_ptr<const std::vector<tmk::ValidNoticesP>> table;
-    /// Per-thread page -> validity lookup built from `table` (points into
-    /// it; the shared_ptr keeps the storage alive).
-    std::vector<std::map<tmk::PageId, const tmk::VectorClock*>> table_index;
+    /// The index of `table`.
+    std::shared_ptr<const HoldersIndex> holders;
+    /// Pages write-protected at section entry (dirty then, Section 5.3);
+    /// exit un-protects exactly these.
+    std::vector<tmk::PageId> protected_pages;
     /// Waiting app fiber during the table exchange.
     sim::WaitToken* table_waiter = nullptr;
 
@@ -129,11 +149,15 @@ class RseController final : public tmk::RseHooks {
   };
 
   /// Computes this node's valid notices: one (page, valid_vc) entry per
-  /// page it would fault on.
+  /// page it would fault on, in ascending page order.
   [[nodiscard]] tmk::ValidNoticesP local_valid_notices(tmk::NodeRuntime& rt) const;
 
+  /// The holders index of `table`: the one built for it, or a new one.
+  [[nodiscard]] std::shared_ptr<const HoldersIndex> index_of(
+      const std::shared_ptr<const std::vector<tmk::ValidNoticesP>>& table);
+
   /// Requester election for `page`: the lowest-id thread whose table entry
-  /// shows it will fault (Section 5.4.1).
+  /// shows it will fault (Section 5.4.1), i.e. its first holder.
   [[nodiscard]] std::optional<net::NodeId> elected_requester(const NodeState& st,
                                                              tmk::PageId page) const;
 
@@ -194,6 +218,8 @@ class RseController final : public tmk::RseHooks {
   /// round tables are sized to it (1 everywhere except the sharded hub).
   std::size_t shards_;
   std::vector<NodeState> state_;
+  /// The most recently built holders index (shared by every node's section).
+  std::shared_ptr<const HoldersIndex> last_index_;
   sim::SimDuration valid_notice_time_{};
 };
 

@@ -17,8 +17,16 @@ enum class PageProt : std::uint8_t {
   Writable,  // dirty in the current interval (twin exists)
 };
 
+/// Marks a page that is not a member of one of NodeRuntime's sparse page
+/// sets (see PageState::pending_slot / twin_slot).
+inline constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
 struct PageState {
   PageProt prot = PageProt::ReadOnly;
+
+  /// Position of this page in its node's pending-page set (kNoSlot when
+  /// `pending` is empty).  Kept in what was padding after `prot`.
+  std::uint32_t pending_slot = kNoSlot;
 
   /// Copy taken at the first write after the page was last clean; present
   /// while there are local modifications not yet captured in a diff.
@@ -30,6 +38,10 @@ struct PageState {
 
   /// True when written during the current (not yet closed) interval.
   bool dirty_in_current = false;
+
+  /// Position of this page in its node's twin-page set (kNoSlot without a
+  /// twin).  Kept in what was padding after `dirty_in_current`.
+  std::uint32_t twin_slot = kNoSlot;
 
   /// Write notices received but whose diffs have not been applied here,
   /// in arrival order.  Sorted causally at fault time.
@@ -46,5 +58,12 @@ struct PageState {
 
   [[nodiscard]] bool has_twin() const { return twin != nullptr; }
 };
+
+// Every node holds one PageState per heap page (6,144 pages x 64 nodes in
+// the benchmark), so any per-page field costs RSS cluster-wide: keeping the
+// sparse-set positions in separate per-node arrays instead of the padding
+// above measured +3 MB peak RSS at 64 nodes.  Per-page bookkeeping belongs
+// inside this struct, and the struct must not grow.
+static_assert(sizeof(PageState) <= 112, "PageState grew: per-page state costs RSS on every node");
 
 }  // namespace repseq::tmk

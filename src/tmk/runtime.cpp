@@ -1,10 +1,9 @@
 #include "tmk/runtime.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <set>
+#include <tuple>
 
 #include "chk/checker.hpp"
 #include "obs/trace.hpp"
@@ -16,22 +15,6 @@ namespace {
 sim::SimDuration per_byte(double ns_per_byte, std::size_t bytes) {
   return sim::SimDuration{static_cast<std::int64_t>(ns_per_byte * static_cast<double>(bytes))};
 }
-
-// Debug tracing for one page, enabled via REPSEQ_TRACE_PAGE=<id>.
-int traced_page() {
-  static const int p = [] {
-    const char* v = std::getenv("REPSEQ_TRACE_PAGE");
-    return v != nullptr ? std::atoi(v) : -1;
-  }();
-  return p;
-}
-
-#define REPSEQ_PAGE_TRACE(page, fmt, ...)                                       \
-  do {                                                                          \
-    if (static_cast<int>(page) == traced_page()) [[unlikely]] {                 \
-      std::fprintf(stderr, "[page %u] node %u: " fmt "\n", (page), id_, ##__VA_ARGS__); \
-    }                                                                           \
-  } while (false)
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -84,6 +67,28 @@ std::unique_ptr<std::byte[]> NodeRuntime::acquire_twin() {
 
 void NodeRuntime::release_twin(std::unique_ptr<std::byte[]> twin) {
   if (twin != nullptr) twin_pool_.push_back(std::move(twin));
+}
+
+void NodeRuntime::set_insert(std::vector<PageId>& set, std::uint32_t PageState::*slot,
+                             PageId p) {
+  REPSEQ_CHECK(pages_[p].*slot == kNoSlot, "page already in sparse set");
+  pages_[p].*slot = static_cast<std::uint32_t>(set.size());
+  set.push_back(p);
+}
+
+void NodeRuntime::set_erase(std::vector<PageId>& set, std::uint32_t PageState::*slot, PageId p) {
+  const std::uint32_t at = pages_[p].*slot;
+  REPSEQ_CHECK(at != kNoSlot, "page not in sparse set");
+  const PageId last = set.back();
+  set[at] = last;
+  pages_[last].*slot = at;
+  set.pop_back();
+  pages_[p].*slot = kNoSlot;
+}
+
+std::vector<PageId> NodeRuntime::sorted(std::vector<PageId> set) {
+  std::sort(set.begin(), set.end());
+  return set;
 }
 
 // ---------------------------------------------------------------------------
@@ -164,8 +169,8 @@ void NodeRuntime::write_barrier(GAddr addr, std::size_t bytes) {
         break;
       }
       // ReadOnly: create the twin and commit, yield-free.
-      REPSEQ_PAGE_TRACE(p, "write fault: twin created (vc_self=%u)", vc_.at(id_));
       ps.twin = acquire_twin();
+      set_insert(twin_set_, &PageState::twin_slot, p);
       std::memcpy(ps.twin.get(), page_span(p).data(), pb);
       ps.prot = PageProt::Writable;
       if (!ps.dirty_in_current) {
@@ -217,7 +222,6 @@ void NodeRuntime::end_interval() {
     ps.valid_vc.set(id_, idx);
     if (ps.has_twin()) {
       ps.open_intervals.push_back(idx);
-      REPSEQ_PAGE_TRACE(p, "end_interval idx=%u (twin kept)", idx);
     } else if (own_diffs_.find({p, idx}) == own_diffs_.end()) {
       // The twin was flushed early (mid-interval diff request) and nothing
       // was written afterwards.  The interval's modifications already
@@ -225,7 +229,6 @@ void NodeRuntime::end_interval() {
       // an empty diff so requests for this interval are answerable.
       own_diffs_[{p, idx}].push_back(util::make_pooled<RegisteredDiff>(RegisteredDiff{
           next_diff_seq_++, {idx}, util::make_pooled<Diff>()}));
-      REPSEQ_PAGE_TRACE(p, "end_interval idx=%u (no twin: empty diff registered)", idx);
     }
   }
   current_dirty_.clear();
@@ -249,8 +252,8 @@ void NodeRuntime::apply_notice(const IntervalRecordPtr& rec, bool on_server) {
       flush_diff(p, on_server);
     }
     ps.prot = PageProt::Invalid;
+    if (ps.pending.empty()) set_insert(pending_set_, &PageState::pending_slot, p);
     ps.pending.push_back(rec);
-    REPSEQ_PAGE_TRACE(p, "invalidated by notice owner=%u idx=%u", rec->owner, rec->index);
   }
 }
 
@@ -266,6 +269,10 @@ void NodeRuntime::flush_diff(PageId p, bool on_server) {
   } else {
     charge(cost);
   }
+  // The charge can yield, and the node's other fiber may flush this twin
+  // meanwhile (the request server answering a diff request, or the app
+  // fiber taking a notice); the diff then exists already.
+  if (!ps.has_twin()) return;
 
   DiffPtr diff = util::make_pooled<Diff>(Diff::create({ps.twin.get(), pb}, page_span(p)));
 
@@ -276,8 +283,6 @@ void NodeRuntime::flush_diff(PageId p, bool on_server) {
                            {"wire_bytes", static_cast<double>(diff->wire_bytes())},
                            {"on_server", on_server ? 1.0 : 0.0}});
   }
-  REPSEQ_PAGE_TRACE(p, "flush_diff open=%zu dirty=%d vc_self=%u", ps.open_intervals.size(),
-                    ps.dirty_in_current ? 1 : 0, vc_.at(id_));
   // Coverage rule.  The diff carries every modification since the twin was
   // taken, which may span several *closed* intervals plus a prefix of the
   // still-open one.  It is registered under the closed intervals only: any
@@ -301,6 +306,7 @@ void NodeRuntime::flush_diff(PageId p, bool on_server) {
   }
   ps.open_intervals.clear();
   release_twin(std::move(ps.twin));
+  set_erase(twin_set_, &PageState::twin_slot, p);
   if (ps.prot == PageProt::Writable) {
     ps.prot = PageProt::ReadOnly;  // next write re-twins
   }
@@ -356,13 +362,10 @@ void NodeRuntime::apply_packet(const DiffPacket& pkt) {
   // are still cleared below.
   const bool already_applied = ps.valid_vc.at(pkt.owner) >= oldest;
   if (chk_ != nullptr && !already_applied) [[unlikely]] chk_->on_diff_apply(*this, pkt);
-  REPSEQ_PAGE_TRACE(pkt.page, "apply diff owner=%u covers[0]=%u nwords=%zu seq=%llu%s",
-                    pkt.owner, pkt.covers.empty() ? 0u : pkt.covers[0],
-                    pkt.diff->word_count(), (unsigned long long)pkt.seq,
-                    already_applied ? " (skipped: already applied)" : "");
   if (!already_applied) {
     pkt.diff->apply(page_span(pkt.page));
   }
+  const bool had_pending = !ps.pending.empty();
   std::uint32_t newest = 0;
   for (std::uint32_t i : pkt.covers) {
     newest = std::max(newest, i);
@@ -372,43 +375,103 @@ void NodeRuntime::apply_packet(const DiffPacket& pkt) {
                            });
     if (it != ps.pending.end()) ps.pending.erase(it);
   }
+  if (had_pending && ps.pending.empty()) set_erase(pending_set_, &PageState::pending_slot, pkt.page);
   if (newest > ps.valid_vc.at(pkt.owner)) ps.valid_vc.set(pkt.owner, newest);
 }
 
+void NodeRuntime::repair_merged_diff_order(std::vector<ApplyKey>& keys) {
+  // The newest-interval key misranks a merged lazy diff, which covers
+  // several intervals of its owner: when another packet for the page has
+  // seen the merged diff's OLDEST interval, the merged diff must land first
+  // even if its newest interval ties with or outranks that packet.  So `a`
+  // (at index ia) must precede `b` (at ib) when b's clock covers a's oldest
+  // interval (same page, other owner); one owner's packets keep their order.
+  auto must_precede = [](const ApplyKey& a, std::size_t ia, const ApplyKey& b, std::size_t ib) {
+    if (a.page != b.page) return false;
+    if (a.owner == b.owner) return ia < ib;
+    return b.vc->at(a.owner) >= a.oldest;
+  };
+  // Only a merged diff can be ranked too late: were a single-interval
+  // packet j seen by an earlier-ranked i, j's clock would be below i's and
+  // so would its Lamport key.
+  bool ordered = true;
+  for (std::size_t j = 1; j < keys.size() && ordered; ++j) {
+    if (keys[j].oldest == keys[j].newest) continue;
+    for (std::size_t i = 0; i < j && ordered; ++i) ordered = !must_precede(keys[j], j, keys[i], i);
+  }
+  if (ordered) return;
+  // Rebuild: repeatedly take the first remaining packet that no other
+  // remaining packet must precede (the first remaining one should they form
+  // a cycle, which takes a racy program).
+  std::vector<ApplyKey> rest = std::move(keys);
+  keys.clear();
+  while (!rest.empty()) {
+    std::size_t next = 0;
+    for (std::size_t x = 0; x < rest.size(); ++x) {
+      bool free = true;
+      for (std::size_t y = 0; y < rest.size() && free; ++y) {
+        free = y == x || !must_precede(rest[y], y, rest[x], x);
+      }
+      if (free) {
+        next = x;
+        break;
+      }
+    }
+    keys.push_back(rest[next]);
+    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(next));
+  }
+}
+
 void NodeRuntime::apply_packets_causally(std::vector<DiffPacket> pkts, bool on_server) {
+  // The scratch buffers are moved out for the call: the cost charge below
+  // can yield to another fiber that applies a batch of its own.
+  std::vector<ApplyKey> keys = std::move(apply_keys_);
+  std::vector<PageId> touched = std::move(apply_pages_);
+  keys.clear();
+  touched.clear();
   // Causal order: by the Lamport projection of the newest covered interval.
   // Data-race-free programs order same-word writers totally, so the writer
-  // whose interval is causally latest must land last.
-  auto lamport = [&](const DiffPacket& pkt) {
-    // Covers can extend past this node's log (a batch may be frozen through
-    // intervals whose notices have not reached us yet); key on the newest
-    // cover we know about.
-    std::uint32_t newest = 0;
-    for (std::uint32_t i : pkt.covers) {
-      if (i <= log_.known(pkt.owner)) newest = std::max(newest, i);
+  // whose interval is causally latest must land last.  Each packet's key is
+  // computed once; ties break on (owner, seq, batch position), so the order
+  // is that of a stable sort on (lamport, owner, seq).
+  if (pkts.size() == 1) {  // a lone packet needs no key
+    keys.push_back({0, pkts[0].seq, pkts[0].owner, 0, pkts[0].page, 0, 0, nullptr});
+  } else {
+    for (std::uint32_t pos = 0; pos < pkts.size(); ++pos) {
+      const DiffPacket& pkt = pkts[pos];
+      // Covers can extend past this node's log (a batch may be frozen
+      // through intervals whose notices have not reached us yet); key on
+      // the newest cover we know about.
+      std::uint32_t newest = 0;
+      std::uint32_t oldest = 0xFFFFFFFFu;
+      for (std::uint32_t i : pkt.covers) {
+        if (i <= log_.known(pkt.owner)) newest = std::max(newest, i);
+        oldest = std::min(oldest, i);
+      }
+      REPSEQ_CHECK(newest > 0, "diff batch with no locally-known cover");
+      const VectorClock& vc = log_.get(pkt.owner, newest).vc;
+      keys.push_back({vc.lamport_sum(), pkt.seq, pkt.owner, pos, pkt.page, oldest, newest, &vc});
     }
-    REPSEQ_CHECK(newest > 0, "diff batch with no locally-known cover");
-    return log_.get(pkt.owner, newest).vc.lamport_sum();
-  };
-  std::stable_sort(pkts.begin(), pkts.end(), [&](const DiffPacket& a, const DiffPacket& b) {
-    const auto la = lamport(a);
-    const auto lb = lamport(b);
-    if (la != lb) return la < lb;
-    if (a.owner != b.owner) return a.owner < b.owner;
-    return a.seq < b.seq;
-  });
+    std::sort(keys.begin(), keys.end(), [](const ApplyKey& a, const ApplyKey& b) {
+      return std::tie(a.lamport, a.owner, a.seq, a.pos) <
+             std::tie(b.lamport, b.owner, b.seq, b.pos);
+    });
+    repair_merged_diff_order(keys);
+  }
   // Oracle-validation mutation: undo the causal sort (the PR 4 bug class);
   // the diff-apply-causality oracle must fire on the first stale apply.
   if (chk::g_test_mutation == chk::Mutation::ReorderDiffApply && pkts.size() > 1) [[unlikely]] {
-    std::reverse(pkts.begin(), pkts.end());
+    std::reverse(keys.begin(), keys.end());
   }
-  std::set<PageId> touched;
   std::size_t bytes = 0;
-  for (const DiffPacket& pkt : pkts) {
+  for (const ApplyKey& k : keys) {
+    const DiffPacket& pkt = pkts[k.pos];
     apply_packet(pkt);
-    touched.insert(pkt.page);
+    touched.push_back(pkt.page);
     bytes += pkt.wire_bytes();
   }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   if (obs::enabled(obs::Cat::Tmk) && !pkts.empty()) [[unlikely]] {
     obs::tracer().instant(obs::Cat::Tmk, cluster_.engine().now(),
                           static_cast<std::int32_t>(id_) + 1, "tmk", "diff-apply",
@@ -432,6 +495,8 @@ void NodeRuntime::apply_packets_causally(std::vector<DiffPacket> pkts, bool on_s
       notify_page_valid(p);
     }
   }
+  apply_keys_ = std::move(keys);
+  apply_pages_ = std::move(touched);
 }
 
 WantedByOwner NodeRuntime::wanted_for_page(PageId p) const {
@@ -476,7 +541,6 @@ void NodeRuntime::fault_in_page(PageId p) {
   // Outer loop: in rare interleavings a new write notice arrives while the
   // fetched diffs are being applied; the page is then still invalid and the
   // missing diffs are fetched in another pass (all within this one fault).
-  REPSEQ_PAGE_TRACE(p, "read fault begins (pending=%zu)", ps.pending.size());
   while (ps.prot == PageProt::Invalid) {
     const WantedByOwner wanted = wanted_for_page(p);
     const std::uint64_t req_id = next_req_id();

@@ -120,6 +120,12 @@ class NodeRuntime {
   [[nodiscard]] PageState& page(PageId p) { return pages_[p]; }
   [[nodiscard]] std::size_t page_count() const { return pages_.size(); }
 
+  /// Pages with a non-empty `pending` list (write notices whose diffs have
+  /// not been applied here), in ascending page order.
+  [[nodiscard]] std::vector<PageId> pending_pages() const { return sorted(pending_set_); }
+  /// Pages currently holding a twin, in ascending page order.
+  [[nodiscard]] std::vector<PageId> twin_pages() const { return sorted(twin_set_); }
+
   /// All interval records (own and remote) known to mention `p`, in no
   /// particular order.  The RSE requester election uses this as the
   /// universe of write notices for a page (logs are identical cluster-wide
@@ -151,6 +157,7 @@ class NodeRuntime {
   void apply_packet(const DiffPacket& pkt);
 
   /// Sorts packets causally (Lamport projection of the newest covered
+  /// interval; merged lazy diffs land before packets that saw their oldest
   /// interval) and applies them all, charging apply costs.
   void apply_packets_causally(std::vector<DiffPacket> pkts, bool on_server);
 
@@ -235,6 +242,14 @@ class NodeRuntime {
   void handle_diff_request(const net::Message& msg);
   void handle_barrier_arrive(const net::Message& msg);
 
+  /// Sparse page sets: a dense member list plus each member's position in
+  /// it, stored in the page's PageState (`slot`), for O(1) insert and
+  /// swap-remove.  apply_notice/apply_packet maintain the pending set,
+  /// write_barrier/flush_diff the twin set; nothing else touches them.
+  void set_insert(std::vector<PageId>& set, std::uint32_t PageState::*slot, PageId p);
+  void set_erase(std::vector<PageId>& set, std::uint32_t PageState::*slot, PageId p);
+  [[nodiscard]] static std::vector<PageId> sorted(std::vector<PageId> set);
+
   void merge_sync_payload(const VectorClock& vc, const std::vector<IntervalRecordPtr>& records,
                           bool on_server);
   [[nodiscard]] std::vector<IntervalRecordPtr> records_unknown_to(const VectorClock& vc) const;
@@ -268,6 +283,26 @@ class NodeRuntime {
   VectorClock vc_;
   IntervalLog log_;
   std::vector<PageId> current_dirty_;
+  std::vector<PageId> pending_set_;  // unordered; see set_insert
+  std::vector<PageId> twin_set_;
+  /// apply_packets_causally's sort key for one packet of a batch.
+  struct ApplyKey {
+    std::uint64_t lamport;
+    std::uint64_t seq;
+    NodeId owner;
+    std::uint32_t pos;  // index into the batch: keeps equal keys stable
+    PageId page;
+    std::uint32_t oldest;   // the packet's oldest covered interval
+    std::uint32_t newest;   // its newest locally-known covered interval
+    const VectorClock* vc;  // the clock of `newest`
+  };
+  /// Reorders key-sorted `keys` where a merged lazy diff must land earlier
+  /// than its key ranks it; a no-op for a batch the key orders correctly.
+  static void repair_merged_diff_order(std::vector<ApplyKey>& keys);
+  /// apply_packets_causally's scratch: the keys, and the pages the batch
+  /// touched.
+  std::vector<ApplyKey> apply_keys_;
+  std::vector<PageId> apply_pages_;
   /// A diff frozen at flush time together with its full registration.
   struct RegisteredDiff {
     std::uint64_t seq;

@@ -4,7 +4,9 @@
 // broadcast-after alternative.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include "ompnow/team.hpp"
@@ -450,6 +452,141 @@ TEST(Rse, MasterGuardedSideEffectsRunOnce) {
   });
 
   EXPECT_EQ(io_count, 1);
+}
+
+TEST(Rse, LowestIdFaultingThreadRequestsEachPage) {
+  // Node 2 writes the data; nodes 0, 1 and 3 then fault on every page in
+  // the section.  Section 5.4.1's election picks the lowest-id faulting
+  // thread, node 0, to forward each page's request; nobody else does.
+  World w(4, SeqMode::Replicated);
+  auto data = tmk::ShArray<int>::alloc(*w.cl, 3 * 1024, /*page_aligned=*/true);
+  w.cl->run([&](tmk::NodeRuntime&) {
+    w.team->parallel([&](const Ctx& ctx) {
+      if (ctx.tid == 2) {
+        for (std::size_t i = 0; i < data.size(); ++i) data.store(i, 1);
+      }
+    });
+    w.team->sequential([&](const Ctx&) {
+      long sum = 0;
+      for (std::size_t i = 0; i < data.size(); ++i) sum += data.load(i);
+      EXPECT_EQ(sum, 3 * 1024);
+    });
+  });
+  const std::uint64_t expect[4] = {3, 0, 0, 0};
+  for (net::NodeId n = 0; n < 4; ++n) {
+    EXPECT_EQ(w.cl->node(n).stats().seq.fwd_requests, expect[n]) << "node " << n;
+  }
+}
+
+// The sparse page sets the section bracket walks must always equal a full
+// PageState scan.
+void expect_sets_match_scan(tmk::NodeRuntime& rt) {
+  std::vector<tmk::PageId> pending;
+  std::vector<tmk::PageId> twins;
+  for (tmk::PageId p = 0; p < rt.page_count(); ++p) {
+    if (!rt.page(p).pending.empty()) pending.push_back(p);
+    if (rt.page(p).has_twin()) twins.push_back(p);
+  }
+  EXPECT_EQ(rt.pending_pages(), pending) << "node " << rt.id();
+  EXPECT_EQ(rt.twin_pages(), twins) << "node " << rt.id();
+}
+
+TEST(Rse, SparsePageSetsMatchFullScanUnderRandomTraffic) {
+  constexpr std::size_t kPages = 24;
+  constexpr std::size_t kWordsPerPage = 1024;
+  for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+    World w(4, SeqMode::Replicated);
+    auto data = tmk::ShArray<int>::alloc(*w.cl, kPages * kWordsPerPage, /*page_aligned=*/true);
+    std::mt19937 rng(seed);
+    std::size_t max_pending = 0;
+    std::size_t max_twins = 0;
+    std::size_t protected_seen = 0;
+    // Words of `page` owned by thread `tid` (disjoint across threads, so
+    // parallel writes to a shared page are race-free multiple writers).
+    auto word = [&](std::size_t page, std::size_t k, int tid, int nthreads) {
+      return page * kWordsPerPage + (k * static_cast<std::size_t>(nthreads) +
+                                     static_cast<std::size_t>(tid)) % kWordsPerPage;
+    };
+    auto check = [&](tmk::NodeRuntime& rt) {
+      expect_sets_match_scan(rt);
+      max_pending = std::max(max_pending, rt.pending_pages().size());
+      max_twins = std::max(max_twins, rt.twin_pages().size());
+    };
+    auto pick_pages = [&] {
+      std::vector<std::size_t> pages;
+      for (std::size_t p = 0; p < kPages; ++p) {
+        if (rng() % 3 == 0) pages.push_back(p);
+      }
+      return pages;
+    };
+
+    w.cl->run([&](tmk::NodeRuntime&) {
+      for (int step = 0; step < 30; ++step) {
+        const unsigned op = rng() % 4;
+        // Every thread's choices are drawn here, on the master, so section
+        // bodies see one plan and run identically on every replica.
+        std::vector<std::vector<std::size_t>> writes(4);
+        std::vector<std::vector<std::size_t>> reads(4);
+        for (int t = 0; t < 4; ++t) {
+          writes[t] = pick_pages();
+          reads[t] = pick_pages();
+        }
+        if (op == 0 || op == 1) {
+          // Writes (twins, then notices elsewhere); op 1 adds a barrier and
+          // reads, so faults apply diffs inside the region.
+          w.team->parallel([&](const Ctx& ctx) {
+            for (std::size_t p : writes[ctx.tid]) {
+              data.store(word(p, step, ctx.tid, ctx.nthreads), step);
+              check(ctx.rt);
+            }
+            if (op == 1) {
+              ctx.rt.barrier(7);
+              check(ctx.rt);
+              for (std::size_t p : reads[ctx.tid]) {
+                (void)data.load(p * kWordsPerPage);
+                check(ctx.rt);
+              }
+            }
+          });
+        } else if (op == 2) {
+          // A replicated section: multicast faults and write-protection
+          // traps on pages left dirty by earlier regions.
+          w.team->sequential([&](const Ctx& ctx) {
+            check(ctx.rt);
+            for (tmk::PageId p = 0; p < ctx.rt.page_count(); ++p) {
+              if (ctx.rt.page(p).rse_write_protected) ++protected_seen;
+            }
+            for (std::size_t p : reads[0]) {
+              (void)data.load(p * kWordsPerPage + 1);
+              check(ctx.rt);
+            }
+            for (std::size_t p : writes[0]) {
+              data.store(p * kWordsPerPage + 2, step);
+              check(ctx.rt);
+            }
+          });
+        } else {
+          w.team->parallel([&](const Ctx& ctx) {
+            for (std::size_t p : reads[ctx.tid]) {
+              (void)data.load(p * kWordsPerPage + 3);
+              check(ctx.rt);
+            }
+          });
+        }
+        for (net::NodeId n = 0; n < 4; ++n) {
+          tmk::NodeRuntime& rt = w.cl->node(n);
+          check(rt);
+          for (tmk::PageId p = 0; p < rt.page_count(); ++p) {
+            EXPECT_FALSE(rt.page(p).rse_write_protected) << "node " << n << " page " << p;
+          }
+        }
+      }
+    });
+    // The traffic reached every maintained state.
+    EXPECT_GT(max_pending, 0u) << "seed " << seed;
+    EXPECT_GT(max_twins, 0u) << "seed " << seed;
+    EXPECT_GT(protected_seen, 0u) << "seed " << seed;
+  }
 }
 
 TEST(TeamSchedules, BlockRangePartitionsExactly) {

@@ -4,6 +4,9 @@
 // determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <random>
 #include <vector>
 
 #include "tmk/access.hpp"
@@ -367,6 +370,125 @@ TEST(TmkRuntime, LossyNetworkRecoversThroughRetransmission) {
   });
 
   for (int n = 0; n < 3; ++n) EXPECT_EQ(sums[n], 9000) << "node " << n;
+}
+
+// The notice of `owner`'s interval `index` writing `page`, with the given
+// nonzero vector-clock entries.
+IntervalRecordPtr make_record(std::size_t nodes, NodeId owner, std::uint32_t index,
+                              const std::vector<std::pair<NodeId, std::uint32_t>>& clock,
+                              PageId page) {
+  auto rec = util::make_pooled<IntervalRecord>();
+  rec->owner = owner;
+  rec->index = index;
+  rec->vc = VectorClock(nodes);
+  for (const auto& [n, v] : clock) rec->vc.set(n, v);
+  rec->pages = {page};
+  return rec;
+}
+
+// A diff packet for `page` that writes `value` into each word of `words`.
+DiffPacket make_packet(std::size_t page_bytes, NodeId owner, PageId page,
+                       std::vector<std::uint32_t> covers, std::uint64_t seq,
+                       const std::vector<std::size_t>& words, std::uint32_t value) {
+  std::vector<std::byte> twin(page_bytes);
+  std::vector<std::byte> cur(page_bytes);
+  for (std::size_t w : words) std::memcpy(cur.data() + 4 * w, &value, 4);
+  DiffPacket pkt;
+  pkt.owner = owner;
+  pkt.page = page;
+  pkt.covers = std::move(covers);
+  pkt.diff = util::make_pooled<Diff>(Diff::create(twin, cur));
+  pkt.seq = seq;
+  return pkt;
+}
+
+std::uint32_t word_at(NodeRuntime& rt, PageId page, std::size_t w) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, rt.page_span(page).data() + 4 * w, 4);
+  return v;
+}
+
+TEST(TmkRuntime, CausalApplyOrderMatchesStableSortOnShuffledTies) {
+  // Packets from six owners, several sharing a Lamport key, arrive shuffled.
+  // For every pair of packets one word is written by both, so the final
+  // page shows which of the two applied last: the whole apply order is
+  // observable.  It must be the order of a stable sort with the comparator
+  // (lamport, owner, seq).
+  constexpr NodeId kOwners = 6;
+  const std::uint32_t lamport_of[kOwners + 1] = {0, 3, 2, 3, 2, 3, 1};
+  auto pair_word = [](NodeId a, NodeId b) {  // a < b, both in 1..kOwners
+    return static_cast<std::size_t>((a - 1) * kOwners + (b - 1));
+  };
+  Fixture fx;
+  for (std::uint32_t seed = 1; seed <= 5; ++seed) {
+    auto cl = fx.make(kOwners + 1);
+    const PageId page = 3;
+    std::vector<NodeId> expected;
+    std::vector<std::uint32_t> image;
+    cl->run([&](NodeRuntime& rt) {
+      std::vector<DiffPacket> pkts;
+      for (NodeId o = 1; o <= kOwners; ++o) {
+        rt.apply_notice(make_record(rt.node_count(), o, 1, {{o, 1}, {0, lamport_of[o] - 1}}, page),
+                        /*on_server=*/false);
+        std::vector<std::size_t> words;
+        for (NodeId other = 1; other <= kOwners; ++other) {
+          if (other != o) words.push_back(pair_word(std::min(o, other), std::max(o, other)));
+        }
+        pkts.push_back(make_packet(rt.config().page_bytes, o, page, {1}, 10 - o, words, 100 + o));
+      }
+      ASSERT_EQ(rt.pending_pages(), std::vector<PageId>{page});
+      std::mt19937 rng(seed);
+      std::shuffle(pkts.begin(), pkts.end(), rng);
+      std::vector<DiffPacket> ref = pkts;
+      std::stable_sort(ref.begin(), ref.end(), [&](const DiffPacket& a, const DiffPacket& b) {
+        const std::uint64_t la = lamport_of[a.owner];
+        const std::uint64_t lb = lamport_of[b.owner];
+        if (la != lb) return la < lb;
+        if (a.owner != b.owner) return a.owner < b.owner;
+        return a.seq < b.seq;
+      });
+      for (const DiffPacket& pkt : ref) expected.push_back(pkt.owner);
+      rt.apply_packets_causally(pkts, /*on_server=*/false);
+      for (std::size_t w = 0; w < kOwners * kOwners; ++w) image.push_back(word_at(rt, page, w));
+      EXPECT_EQ(rt.page(page).prot, PageProt::ReadOnly);
+      EXPECT_TRUE(rt.pending_pages().empty());
+    });
+    ASSERT_EQ(expected.size(), kOwners);
+    std::vector<std::size_t> rank(kOwners + 1);
+    for (std::size_t i = 0; i < expected.size(); ++i) rank[expected[i]] = i;
+    for (NodeId a = 1; a <= kOwners; ++a) {
+      for (NodeId b = a + 1; b <= kOwners; ++b) {
+        const NodeId later = rank[a] > rank[b] ? a : b;
+        EXPECT_EQ(image[pair_word(a, b)], 100 + later)
+            << "owners " << a << "," << b << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(TmkRuntime, CausalApplyLandsMergedLazyDiffBeforeItsSuccessor) {
+  // Node 3's lazy diff covers its intervals 1 and 2 (no notice for the page
+  // reached it in between).  Node 2's interval 1 saw (3,1) -- it rewrote a
+  // word (3,1) wrote -- but runs concurrently with (3,2), and the two
+  // newest intervals tie on the Lamport key.  The merged diff must still
+  // land first, or its stale word clobbers node 2's newer one.
+  Fixture fx;
+  auto cl = fx.make(4);
+  const PageId page = 5;
+  std::uint32_t word = 0;
+  cl->run([&](NodeRuntime& rt) {
+    const std::size_t n = rt.node_count();
+    rt.apply_notice(make_record(n, 3, 1, {{3, 1}}, page), /*on_server=*/false);
+    rt.apply_notice(make_record(n, 3, 2, {{3, 2}, {0, 1}}, page), /*on_server=*/false);
+    rt.apply_notice(make_record(n, 2, 1, {{2, 1}, {3, 1}, {0, 1}}, page), /*on_server=*/false);
+    const std::size_t pb = rt.config().page_bytes;
+    rt.apply_packets_causally({make_packet(pb, 3, page, {1, 2}, 1, {7}, 31),
+                               make_packet(pb, 2, page, {1}, 1, {7}, 21)},
+                              /*on_server=*/false);
+    word = word_at(rt, page, 7);
+    EXPECT_TRUE(rt.pending_pages().empty());
+  });
+  EXPECT_EQ(word, 21u);
 }
 
 // Parameterized consistency sweep: random access schedules over varying node
