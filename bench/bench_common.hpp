@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -20,20 +21,28 @@
 
 namespace repseq::bench {
 
-/// Reads an integer override from the environment (REPSEQ_<NAME>).
-inline long env_long(const char* name, long fallback) {
-  const std::string var = std::string("REPSEQ_") + name;
-  const char* v = std::getenv(var.c_str());
-  return v != nullptr ? std::atol(v) : fallback;
-}
-
 /// A malformed axis value must kill the run, not silently fall back: a
-/// sweep that quietly ran the wrong transport/policy/flow produces tables
-/// that look fine and mean nothing.
+/// sweep that quietly ran the wrong transport/policy/flow/size produces
+/// tables that look fine and mean nothing.
 [[noreturn]] inline void env_value_error(const char* var, const char* got,
                                          const char* accepted) {
   std::fprintf(stderr, "error: unknown %s '%s' (accepted: %s)\n", var, got, accepted);
   std::exit(2);
+}
+
+/// Reads an integer override from the environment (REPSEQ_<NAME>); anything
+/// but a decimal integer >= `min` fails loud.
+inline long env_long(const char* name, long fallback, long min = 0) {
+  const std::string var = std::string("REPSEQ_") + name;
+  const char* v = std::getenv(var.c_str());
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long x = std::strtol(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || x < min) {
+    env_value_error(var.c_str(), v, ("integer >= " + std::to_string(min)).c_str());
+  }
+  return x;
 }
 
 inline std::size_t bench_nodes() { return static_cast<std::size_t>(env_long("NODES", 32)); }
@@ -52,7 +61,7 @@ inline net::TransportKind bench_transport(
 
 /// Shard count for the sharded-hub backend (REPSEQ_HUB_SHARDS=S).
 inline std::size_t bench_hub_shards() {
-  return static_cast<std::size_t>(std::max(1L, env_long("HUB_SHARDS", 4)));
+  return static_cast<std::size_t>(env_long("HUB_SHARDS", 4, /*min=*/1));
 }
 
 /// Adaptive-mode decision procedure: REPSEQ_POLICY=static|greedy|hysteresis

@@ -10,14 +10,14 @@ namespace repseq::net {
 BatchingTransport::BatchingTransport(sim::Engine& eng, const NetConfig& cfg,
                                      std::vector<std::unique_ptr<Nic>>& nics,
                                      std::unique_ptr<Transport> inner)
-    : Transport(eng, cfg, nics), inner_(std::move(inner)) {
+    : Transport(eng, cfg, nics), inner_(std::move(inner)), window_(eng, cfg.batch_window, *this) {
   REPSEQ_CHECK(cfg.batch_window.ns > 0, "BatchingTransport needs a nonzero window");
 }
 
 void BatchingTransport::unicast(const Message& msg, std::size_t wire_bytes,
                                 const DeliverFn& deliver, const AccountFn& account) {
   (void)wire_bytes;  // recomputed for the combined payload at flush
-  enqueue(unicast_key(msg.src, msg.dst), /*is_multicast=*/false, msg, deliver, account);
+  offer(unicast_key(msg.src, msg.dst), msg, deliver, account);
 }
 
 void BatchingTransport::multicast(const Message& msg, std::size_t wire_bytes,
@@ -28,57 +28,30 @@ void BatchingTransport::multicast(const Message& msg, std::size_t wire_bytes,
     inner_->multicast(msg, wire_bytes, deliver, account);
     return;
   }
-  enqueue(multicast_key(msg.src, shard_of(msg.mcast_group, inner_->shard_count())),
-          /*is_multicast=*/true, msg, deliver, account);
+  offer(multicast_key(msg.src, shard_of(msg.mcast_group, inner_->shard_count())), msg, deliver,
+        account);
 }
 
-void BatchingTransport::enqueue(std::uint64_t key, bool is_multicast, const Message& msg,
-                                const DeliverFn& deliver, const AccountFn& account) {
-  Queue& q = queues_[key];
-  if (q.window_open) {
-    q.q.push_back(Pending{msg, deliver, account});
-    return;
-  }
-  // Idle destination: the frame leaves at once and opens the window behind
-  // it, so the first frame of a burst -- and every step of a chained round
-  // -- pays no coalescing delay; only the pile-up does.
-  q.window_open = true;
-  if (obs::enabled(obs::Cat::Net)) [[unlikely]] {
+void BatchingTransport::offer(std::uint64_t key, const Message& msg, const DeliverFn& deliver,
+                              const AccountFn& account) {
+  if (obs::enabled(obs::Cat::Net) && !window_.open(key)) [[unlikely]] {
     obs::tracer().instant(obs::Cat::Net, eng_.now(), static_cast<std::int32_t>(msg.src) + 1,
                           "net-batch", "window-open",
                           {{"key", static_cast<double>(key)},
                            {"window_ns", static_cast<double>(cfg_.batch_window.ns)}});
   }
-  eng_.schedule_in(cfg_.batch_window, [this, key, is_multicast] { flush(key, is_multicast); });
-  transmit(is_multicast, {Pending{msg, deliver, account}});
+  window_.offer(key, Pending{msg, deliver, account});
 }
 
-void BatchingTransport::flush(std::uint64_t key, bool is_multicast) {
-  Queue& q = queues_[key];
-  if (q.q.empty()) {
-    // Nothing arrived while the window was open: the destination goes idle
-    // and the next send will again leave immediately.
-    q.window_open = false;
-    return;
-  }
-  const std::vector<Pending> batch = std::move(q.q);
-  q.q.clear();
-  // Traffic is still flowing to this destination: re-arm the window so a
-  // sustained stream keeps leaving as one combined frame per window.
-  eng_.schedule_in(cfg_.batch_window, [this, key, is_multicast] { flush(key, is_multicast); });
-  transmit(is_multicast, batch);
-}
-
-void BatchingTransport::transmit(bool is_multicast, const std::vector<Pending>& batch) {
+void BatchingTransport::transmit(std::uint64_t key, std::span<const Pending> batch) {
+  const bool is_multicast = (key & kUnicastBit) == 0;
   // The combined frame: concatenated payloads under one set of headers.
   // Group identity (src, dst/mcast_group, kind) is taken from the carrier;
   // every constituent in this queue shares the delivery set by key
   // construction, and the inner backend never reads the payload.
   Message combined = batch.front().msg;
-  std::size_t payload_total = 0;
-  for (const Pending& p : batch) payload_total += p.msg.payload_bytes;
-  combined.payload_bytes = payload_total;
-  const std::size_t combined_wire = cfg_.wire_bytes(payload_total);
+  combined.payload_bytes = combined_payload(batch);
+  const std::size_t combined_wire = cfg_.wire_bytes(combined.payload_bytes);
   if (obs::enabled(obs::Cat::Net)) [[unlikely]] {
     obs::tracer().instant(obs::Cat::Net, eng_.now(),
                           static_cast<std::int32_t>(combined.src) + 1, "net-batch",
@@ -109,16 +82,7 @@ void BatchingTransport::transmit(bool is_multicast, const std::vector<Pending>& 
   } else {
     inner_->unicast(combined, combined_wire, deliver_all, account_total);
   }
-
-  // Carrier/rider split (see transport.hpp): riders pay their payload
-  // bytes, the carrier pays the rest (frames, headers, fan-out).
-  std::size_t rider_bytes = 0;
-  for (std::size_t i = 1; i < batch.size(); ++i) {
-    rider_bytes += batch[i].msg.payload_bytes;
-    batch[i].account(0, batch[i].msg.payload_bytes);
-  }
-  REPSEQ_CHECK(bytes_total >= rider_bytes, "combined frame smaller than its riders");
-  batch.front().account(frames_total, bytes_total - rider_bytes);
+  charge_carrier_riders(batch, frames_total, bytes_total);
 }
 
 }  // namespace repseq::net

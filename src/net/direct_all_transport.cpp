@@ -10,7 +10,7 @@ void DirectAllTransport::multicast(const Message& msg, std::size_t wire_bytes,
   for (NodeId dst = 0; dst < nics_.size(); ++dst) {
     if (dst == msg.src) continue;
     account(1, wire_bytes);
-    deliver(dst, forward_hop(msg.src, dst, wire_bytes, eng_.now()));
+    deliver(dst, forward_hop(msg.src, dst, wire_bytes));
   }
 }
 

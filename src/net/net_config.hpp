@@ -29,7 +29,7 @@ enum class TransportKind {
   DirectAll,
   /// S independent hub media (NetConfig::hub_shards); each multicast group
   /// hashes to one shard, so rounds on disjoint groups never serialize on
-  /// the same medium.  S = 1 degenerates to HubSwitch frame for frame.
+  /// the same medium.  Same HubTransport as HubSwitch, which is S = 1.
   ShardedHub,
 };
 
@@ -156,7 +156,7 @@ struct NetConfig {
 
   /// Serialization time of one frame on a switched link (uplink or switch
   /// port).  The single source of the bytes -> wire-time conversion: every
-  /// link-rate resource (Nic, SwitchFabric, the tree transport's busy
+  /// link-rate resource (uplinks, switch ports, the tree transport's busy
   /// accounting) must agree to the nanosecond or occupancy conservation
   /// checks drift.
   [[nodiscard]] sim::SimDuration link_tx_time(std::size_t bytes) const {

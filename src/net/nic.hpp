@@ -7,10 +7,10 @@
 #include <cstdint>
 #include <functional>
 
+#include "net/link.hpp"
 #include "net/message.hpp"
 #include "net/net_config.hpp"
 #include "sim/channel.hpp"
-#include "sim/clock.hpp"
 #include "sim/engine.hpp"
 
 namespace repseq::net {
@@ -18,18 +18,10 @@ namespace repseq::net {
 class Nic {
  public:
   Nic(sim::Engine& eng, const NetConfig& cfg, NodeId node)
-      : eng_(eng), cfg_(cfg), node_(node), inbox_(eng) {}
+      : cfg_(cfg), node_(node), inbox_(eng) {}
 
-  /// Earliest time the uplink can begin transmitting a new frame, given
-  /// frames already queued; reserves the link for `wire_bytes`.
-  /// Returns the time the last byte leaves the NIC.
-  sim::SimTime reserve_uplink(std::size_t wire_bytes) {
-    return reserve_uplink(wire_bytes, eng_.now());
-  }
-
-  /// Same, but the transmission may not start before `ready` (forwarding
-  /// hops of software multicast reserve uplinks at future instants).
-  sim::SimTime reserve_uplink(std::size_t wire_bytes, sim::SimTime ready);
+  /// The node's uplink to the switch; reserved by the switched transport.
+  [[nodiscard]] Link& uplink() { return uplink_; }
 
   /// Delivery at the receive ring.  Honors capacity; returns false (and
   /// counts a drop) when the ring is full and the message is droppable.
@@ -53,11 +45,10 @@ class Nic {
   [[nodiscard]] std::size_t backlog() const { return inbox_.size(); }
 
  private:
-  sim::Engine& eng_;
   const NetConfig& cfg_;
   NodeId node_;
   sim::Channel<Message> inbox_;
-  sim::SimTime uplink_free_{};
+  Link uplink_;
   std::uint64_t drops_ = 0;
   DropFilter droppable_{};
 };

@@ -31,10 +31,10 @@
 #include <memory>
 #include <vector>
 
+#include "net/link.hpp"
 #include "net/message.hpp"
 #include "net/net_config.hpp"
 #include "net/nic.hpp"
-#include "net/switch_fabric.hpp"
 #include "sim/clock.hpp"
 #include "sim/engine.hpp"
 
@@ -100,9 +100,9 @@ class Transport {
   }
 
   /// Number of independent multicast serialization domains this backend
-  /// exposes.  1 for every single-medium or unicast-composed backend; the
-  /// sharded hub reports its shard count.  Upper layers size their
-  /// per-shard round tables off this.
+  /// exposes: the hub transport's hub count; 1 for the fan-out strawman
+  /// and for the tree without a coalescing window (NetConfig::hub_shards
+  /// with one).  Upper layers size their per-shard round tables off this.
   [[nodiscard]] virtual std::size_t shard_count() const { return 1; }
 
   /// Total time shard `s` of the multicast medium was busy transmitting
@@ -124,29 +124,32 @@ class Transport {
 
 /// Common unicast path shared by every backend: the frame serializes on the
 /// source uplink, crosses the switch, and serializes again on the
-/// destination port (SwitchFabric).
+/// destination's output port.
 class SwitchedTransport : public Transport {
  public:
   SwitchedTransport(sim::Engine& eng, const NetConfig& cfg,
                     std::vector<std::unique_ptr<Nic>>& nics)
-      : Transport(eng, cfg, nics), switch_(eng, cfg, nics.size()) {}
+      : Transport(eng, cfg, nics), ports_(nics.size()) {}
 
   void unicast(const Message& msg, std::size_t wire_bytes, const DeliverFn& deliver,
                const AccountFn& account) override {
     account(1, wire_bytes);
-    deliver(msg.dst, forward_hop(msg.src, msg.dst, wire_bytes, eng_.now()));
+    deliver(msg.dst, forward_hop(msg.src, msg.dst, wire_bytes));
   }
 
  protected:
-  /// One switched src->dst hop whose uplink transmission may not start
-  /// before `ready` (used by forwarding hops of software multicast).
-  sim::SimTime forward_hop(NodeId src, NodeId dst, std::size_t wire_bytes, sim::SimTime ready) {
+  /// One switched src->dst hop leaving now; returns the instant the last
+  /// byte reaches the destination NIC.
+  sim::SimTime forward_hop(NodeId src, NodeId dst, std::size_t wire_bytes) {
+    const sim::SimDuration tx = cfg_.link_tx_time(wire_bytes);
     const sim::SimTime at_switch =
-        nics_[src]->reserve_uplink(wire_bytes, ready) + cfg_.hop_latency;
-    return switch_.forward(dst, wire_bytes, at_switch);
+        nics_[src]->uplink().reserve(eng_.now(), tx) + cfg_.hop_latency;
+    return ports_[dst].reserve(at_switch, tx) + cfg_.hop_latency;
   }
 
-  SwitchFabric switch_;
+ private:
+  /// The switch's output port toward each node.
+  std::vector<Link> ports_;
 };
 
 /// Instantiates the backend selected by `cfg.transport`.

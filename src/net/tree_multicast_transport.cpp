@@ -1,17 +1,15 @@
 #include "net/tree_multicast_transport.hpp"
 
 #include <algorithm>
-#include <utility>
-#include <vector>
 
 #include "obs/trace.hpp"
-#include "util/check.hpp"
 #include "util/pool_ptr.hpp"
 
 namespace repseq::net {
 
 void TreeMulticastTransport::multicast(const Message& msg, std::size_t wire_bytes,
                                        const DeliverFn& deliver, const AccountFn& account) {
+  (void)wire_bytes;  // recomputed per hop from the (possibly combined) payload
   const std::size_t n = nics_.size();
   if (n <= 1) return;
   const std::size_t k = std::max<std::size_t>(1, cfg_.mcast_tree_fanout);
@@ -27,8 +25,7 @@ void TreeMulticastTransport::multicast(const Message& msg, std::size_t wire_byte
   // The callbacks outlive this call: interior hops run as scheduled events
   // at their parents' arrival instants, so the flight state is shared by
   // (and kept alive through) every pending forwarding event.
-  auto fl = util::make_pooled<Flight>(Flight{msg.src, root, n, k, wire_bytes,
-                                             msg.payload_bytes,
+  auto fl = util::make_pooled<Flight>(Flight{msg.src, root, n, k, msg.payload_bytes,
                                              shard_of(msg.mcast_group, shard_count()), deliver,
                                              account});
   if (root == msg.src) {
@@ -40,7 +37,7 @@ void TreeMulticastTransport::multicast(const Message& msg, std::size_t wire_byte
   // any tree hop (the sender's several in-flight injections -- and any tree
   // forwards it owes on the same edge -- leave as one frame), and a lost
   // injection prunes the tree descent before a single tree hop is charged.
-  enqueue_hop(msg.src, root, fl, 0);
+  edges_.offer(edge_key(msg.src, root), PendingHop{fl, 0});
   // The sender holds the payload natively, so its own subtree needs no
   // wave: it forwards its children right now, off the injection's critical
   // path, and the descent never transmits the edge into the sender's
@@ -64,86 +61,39 @@ void TreeMulticastTransport::forward_children(const util::PoolPtr<const Flight>&
     // time): the wave flows around it.  Unreachable when the sender is the
     // root -- every descent position is then a true receiver.
     if (fl->node_at(c) == fl->src) continue;
+    const std::uint64_t key = edge_key(fl->node_at(pos), fl->node_at(c));
     if (cfg_.batch_window.ns > 0) {
-      enqueue_hop(fl->node_at(pos), fl->node_at(c), fl, c);
-      continue;
-    }
-    const sim::SimTime at =
-        forward_hop(fl->node_at(pos), fl->node_at(c), fl->wire_bytes, eng_.now());
-    if (obs::enabled(obs::Cat::Net)) [[unlikely]] {
-      obs::tracer().instant(obs::Cat::Net, eng_.now(),
-                            static_cast<std::int32_t>(fl->node_at(pos)) + 1, "net-tree",
-                            "tree-hop",
-                            {{"child", static_cast<double>(fl->node_at(c))},
-                             {"wire_bytes", static_cast<double>(fl->wire_bytes)}});
-    }
-    busy_[fl->shard] += cfg_.link_tx_time(fl->wire_bytes);
-    fl->account(1, fl->wire_bytes);
-    if (fl->deliver(fl->node_at(c), at)) {
-      eng_.schedule_at(at, [this, fl, c] { forward_children(fl, c); });
+      edges_.offer(key, PendingHop{fl, c});
+    } else {
+      const PendingHop hop{fl, c};
+      transmit(key, std::span<const PendingHop>(&hop, 1));
     }
   }
 }
 
-void TreeMulticastTransport::enqueue_hop(NodeId parent, NodeId child,
-                                         const util::PoolPtr<const Flight>& fl,
-                                         std::size_t child_pos) {
-  const std::uint64_t key = edge_key(parent, child);
-  Edge& e = edges_[key];
-  if (e.window_open) {
-    e.q.push_back(PendingHop{fl, child_pos});
-    return;
-  }
-  // Idle edge: the frame leaves at once and opens the window behind it, so
-  // the first frame of a burst -- and every step of a chained round -- pays
-  // no coalescing delay; only the pile-up does.
-  e.window_open = true;
-  eng_.schedule_in(cfg_.batch_window, [this, key] { flush_edge(key); });
-  transmit_hops(parent, child, {PendingHop{fl, child_pos}});
-}
-
-void TreeMulticastTransport::flush_edge(std::uint64_t key) {
-  Edge& e = edges_[key];
-  if (e.q.empty()) {
-    // Nothing arrived while the window was open: the edge goes idle and the
-    // next hop will again leave immediately.
-    e.window_open = false;
-    return;
-  }
-  const std::vector<PendingHop> hops = std::move(e.q);
-  e.q.clear();
-  // Traffic is still flowing on this edge: re-arm the window so a sustained
-  // stream keeps leaving as one combined frame per window.
-  eng_.schedule_in(cfg_.batch_window, [this, key] { flush_edge(key); });
-  transmit_hops(static_cast<NodeId>(key >> 32), static_cast<NodeId>(key & 0xffffffffu), hops);
-}
-
-void TreeMulticastTransport::transmit_hops(NodeId parent, NodeId child,
-                                           const std::vector<PendingHop>& hops) {
+void TreeMulticastTransport::transmit(std::uint64_t key, std::span<const PendingHop> hops) {
+  const auto parent = static_cast<NodeId>(key >> 32);
+  const auto child = static_cast<NodeId>(key & 0xffffffffu);
   // One wire frame carries every queued flight's payload across this edge:
   // concatenated payloads under one set of headers.
-  std::size_t payload_total = 0;
-  for (const PendingHop& h : hops) payload_total += h.fl->payload_bytes;
-  const std::size_t wire = cfg_.wire_bytes(payload_total);
-  const sim::SimTime at = forward_hop(parent, child, wire, eng_.now());
+  const std::size_t wire = cfg_.wire_bytes(combined_payload(hops));
+  const sim::SimTime at = forward_hop(parent, child, wire);
   if (obs::enabled(obs::Cat::Net)) [[unlikely]] {
-    obs::tracer().instant(obs::Cat::Net, eng_.now(), static_cast<std::int32_t>(parent) + 1,
-                          "net-tree", "tree-hop",
-                          {{"child", static_cast<double>(child)},
-                           {"coalesced", static_cast<double>(hops.size())},
-                           {"wire_bytes", static_cast<double>(wire)}});
+    if (cfg_.batch_window.ns > 0) {
+      obs::tracer().instant(obs::Cat::Net, eng_.now(), static_cast<std::int32_t>(parent) + 1,
+                            "net-tree", "tree-hop",
+                            {{"child", static_cast<double>(child)},
+                             {"coalesced", static_cast<double>(hops.size())},
+                             {"wire_bytes", static_cast<double>(wire)}});
+    } else {
+      obs::tracer().instant(obs::Cat::Net, eng_.now(), static_cast<std::int32_t>(parent) + 1,
+                            "net-tree", "tree-hop",
+                            {{"child", static_cast<double>(child)},
+                             {"wire_bytes", static_cast<double>(wire)}});
+    }
   }
   busy_[hops.front().fl->shard] += cfg_.link_tx_time(wire);
-
-  // Carrier/rider split (see transport.hpp): riders pay their payload
-  // bytes, the carrier pays the frame, its own payload, and the headers.
-  std::size_t rider_bytes = 0;
-  for (std::size_t i = 1; i < hops.size(); ++i) {
-    rider_bytes += hops[i].fl->payload_bytes;
-    hops[i].fl->account(0, hops[i].fl->payload_bytes);
-  }
-  REPSEQ_CHECK(wire >= rider_bytes, "combined frame smaller than its riders' payloads");
-  hops.front().fl->account(1, wire - rider_bytes);
+  charge_carrier_riders(hops, 1, wire);
 
   // Each constituent draws its own loss decision and, surviving, resumes
   // its own flight's forwarding from the child -- a lost rider prunes only

@@ -39,37 +39,34 @@
 //     the descent wave flows around its position without transmitting the
 //     edge into it.
 //
-//   * First-frame-immediate windows.  An edge with no window open
-//     transmits a lone frame at once and opens a window; frames arriving
-//     while the window is open queue and leave as one combined frame at
-//     flush, which re-opens the window while traffic keeps coming.  A
-//     delay-everything window would self-defeat on chained rounds: each
-//     chain step would wait a full window per hop, so consecutive acks
-//     would always arrive a window apart and never merge.  Immediate
-//     first frames keep the chain pipelined; only the pile-up pays delay.
+//   * First-frame-immediate windows (coalescing_window.hpp), one per
+//     edge: only the pile-up pays delay, so chained rounds stay pipelined.
 //
-// Charging a combined frame uses the carrier/rider split of transport.hpp
-// (riders pay their payload, the carrier pays the rest), each routed to its
-// own flight's AccountFn; each constituent still draws its own loss
-// decision and continues its own downstream forwarding, so a lost rider
-// prunes only that flight's subtree.  Window 0 keeps the per-sender
+// Charging a combined frame uses the carrier/rider split
+// (charge_carrier_riders: riders pay their payload, the carrier pays the
+// rest), each routed to its own flight's AccountFn; each constituent still
+// draws its own loss decision and continues its own downstream forwarding,
+// so a lost rider prunes only that flight's subtree.  Window 0 keeps the per-sender
 // rotated trees and the immediate per-flight hop path, frame for frame.
 //
 // Concurrency domains: coalescing pays only if flights overlap, and the
 // tree -- having no shared medium at all -- never needed the single-round
 // serialization that modeling it as one "virtual hub" imposed.  With a
 // nonzero window it reports NetConfig::hub_shards independent serialization
-// domains (like the sharded hub), so the RSE layer runs rounds on disjoint
-// page groups concurrently and their frames meet in the piggyback queues.
+// domains (like the sharded hub medium), so the RSE layer runs rounds on
+// disjoint page groups concurrently and their frames meet in the piggyback
+// queues.
 // Forwarding-uplink busy is attributed to the carrier flight's domain.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "net/coalescing_window.hpp"
 #include "net/transport.hpp"
 #include "util/pool_ptr.hpp"
 
@@ -79,7 +76,7 @@ class TreeMulticastTransport final : public SwitchedTransport {
  public:
   TreeMulticastTransport(sim::Engine& eng, const NetConfig& cfg,
                          std::vector<std::unique_ptr<Nic>>& nics)
-      : SwitchedTransport(eng, cfg, nics) {
+      : SwitchedTransport(eng, cfg, nics), edges_(eng, cfg.batch_window, *this) {
     busy_.resize(shard_count());
   }
 
@@ -118,7 +115,6 @@ class TreeMulticastTransport final : public SwitchedTransport {
     NodeId root;  // == src without a window; the group's tree root with one
     std::size_t nodes;
     std::size_t fanout;
-    std::size_t wire_bytes;
     std::size_t payload_bytes;
     std::size_t shard;  // busy-attribution domain of this flight's group
     DeliverFn deliver;
@@ -129,40 +125,28 @@ class TreeMulticastTransport final : public SwitchedTransport {
     }
   };
 
-  /// One flight's hop on an edge awaiting that edge's window flush.
+  /// One flight's hop on an edge, transmitted alone or awaiting that edge's
+  /// window flush.
   struct PendingHop {
     util::PoolPtr<const Flight> fl;
     std::size_t child_pos;
-  };
 
-  /// Per-(parent, child) piggyback state: hops queued behind the currently
-  /// open window, if any.
-  struct Edge {
-    std::vector<PendingHop> q;
-    bool window_open = false;
+    [[nodiscard]] std::size_t payload() const { return fl->payload_bytes; }
+    void charge(std::size_t frames, std::size_t bytes) const { fl->account(frames, bytes); }
   };
+  friend class CoalescingWindow<PendingHop, TreeMulticastTransport>;
 
   /// Transmits the frame from tree position `pos` (whose node holds a
   /// complete copy as of the current virtual instant) to each of its
   /// children, scheduling each child's own forwarding at its arrival --
   /// immediately when the window is zero, else via the edge's piggyback
-  /// queue.
+  /// window.
   void forward_children(const util::PoolPtr<const Flight>& fl, std::size_t pos);
 
-  /// First-frame-immediate piggybacking: transmits at once if the edge has
-  /// no window open (and opens one); queues behind the open window
-  /// otherwise.
-  void enqueue_hop(NodeId parent, NodeId child, const util::PoolPtr<const Flight>& fl,
-                   std::size_t child_pos);
-
-  /// Window-close event: transmits one combined frame carrying everything
-  /// queued (re-opening the window), or just closes an idle window.
-  void flush_edge(std::uint64_t key);
-
-  /// Puts one wire frame carrying `hops` on the (parent, child) edge:
-  /// carrier/rider accounting, per-constituent loss draw, surviving
-  /// constituents resume their own forwarding at the child.
-  void transmit_hops(NodeId parent, NodeId child, const std::vector<PendingHop>& hops);
+  /// Puts one wire frame carrying `hops` on the edge `key`: carrier/rider
+  /// accounting, per-constituent loss draw, surviving constituents resume
+  /// their own forwarding at the child.
+  void transmit(std::uint64_t key, std::span<const PendingHop> hops);
 
   static std::uint64_t edge_key(NodeId parent, NodeId child) {
     return (std::uint64_t{parent} << 32) | child;
@@ -170,7 +154,8 @@ class TreeMulticastTransport final : public SwitchedTransport {
 
   /// Per-domain forwarding-uplink busy (size shard_count()).
   std::vector<sim::SimDuration> busy_;
-  std::unordered_map<std::uint64_t, Edge> edges_;
+  /// Per-(parent, child) piggyback windows (used only when window > 0).
+  CoalescingWindow<PendingHop, TreeMulticastTransport> edges_;
   /// Sticky group-affine roots: group -> its first sender (window > 0).
   std::unordered_map<std::uint32_t, NodeId> roots_;
 };

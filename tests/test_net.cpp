@@ -3,13 +3,18 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "apps/harness/run_modes.hpp"
 #include "net/network.hpp"
+#include "ompnow/team.hpp"
+#include "rse/controller.hpp"
 #include "sim/engine.hpp"
+#include "tmk/access.hpp"
+#include "tmk/runtime.hpp"
 
 namespace repseq::net {
 namespace {
@@ -921,6 +926,125 @@ TEST(NetConfig, ParseBatchWindowAcceptsMicrosecondsRejectsJunk) {
   EXPECT_EQ(*parse_batch_window("250"), sim::microseconds(250));
   for (const char* bad : {"", "-1", "abc", "12us", "1.5", "1000000001"}) {
     EXPECT_FALSE(parse_batch_window(bad).has_value()) << '\'' << bad << '\'';
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden wire fingerprints
+//
+// The other invariance axes compare two runs against each other; these pin
+// one small full-protocol run per wire configuration to absolute totals, so
+// a refactor of the net layer that shifts any frame, event or busy
+// nanosecond on every backend at once still fails.  The constants were
+// recorded before the net layer's hub, link and coalescing-window code was
+// folded into single implementations, and must not move.
+// ---------------------------------------------------------------------------
+
+struct WireFingerprint {
+  std::int64_t final_ns;
+  std::uint64_t events;
+  std::uint64_t msgs;
+  std::uint64_t bytes;
+  std::uint64_t drops;
+  std::vector<std::int64_t> hub_busy_ns;
+
+  bool operator==(const WireFingerprint&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const WireFingerprint& f) {
+  os << "{" << f.final_ns << ", " << f.events << ", " << f.msgs << ", " << f.bytes << ", "
+     << f.drops << ", {";
+  for (std::size_t s = 0; s < f.hub_busy_ns.size(); ++s) {
+    os << (s == 0 ? "" : ", ") << f.hub_busy_ns[s];
+  }
+  return os << "}}";
+}
+
+/// Six nodes alternate parallel writes with a replicated section (RSE
+/// multicast rounds over several page groups) and a master-only section
+/// (diff-request fan-in at the master), then read everything back.
+WireFingerprint run_fingerprint(const NetConfig& ncfg) {
+  using ompnow::Ctx;
+  using ompnow::SeqMode;
+  tmk::TmkConfig cfg;
+  cfg.heap_bytes = 1u << 20;
+  cfg.request_timeout = sim::milliseconds(10);
+  cfg.rse_wait_timeout = sim::milliseconds(20);
+  tmk::Cluster cl(cfg, ncfg, 6);
+  rse::RseController rse(cl, rse::FlowControl::Chained);
+  ompnow::Team replicated(cl, SeqMode::Replicated, &rse);
+  ompnow::Team master_only(cl, SeqMode::MasterOnly, nullptr);
+  constexpr std::size_t kElems = 6 * 1024;  // six pages
+  auto data = tmk::ShArray<int>::alloc(cl, kElems, /*page_aligned=*/true);
+  long sum = 0;
+  cl.run([&](tmk::NodeRuntime&) {
+    for (int step = 0; step < 3; ++step) {
+      replicated.parallel_for(0, static_cast<long>(kElems), ompnow::Schedule::StaticBlock,
+                              [&](const Ctx&, long i) {
+                                data.store(static_cast<std::size_t>(i),
+                                           static_cast<int>(i % 11) + step);
+                              });
+      replicated.sequential([&](const Ctx&) {
+        for (std::size_t i = 0; i < kElems; i += 3) data.store(i, data.load(i) + 1);
+      });
+      master_only.sequential([&](const Ctx&) {
+        for (std::size_t i = 1; i < kElems; i += 5) data.store(i, data.load(i) * 2);
+      });
+      master_only.parallel([&](const Ctx& ctx) {
+        long s = 0;
+        for (std::size_t i = 0; i < kElems; ++i) s += data.load(i);
+        if (ctx.tid == 0) sum += s;
+      });
+    }
+  });
+  EXPECT_GT(sum, 0);
+  const Network& nw = cl.network();
+  WireFingerprint f{cl.engine().now().ns, cl.engine().events_executed(), nw.messages_sent(),
+                    nw.bytes_sent(), nw.total_drops(), {}};
+  for (std::size_t s = 0; s < nw.hub_shards(); ++s) f.hub_busy_ns.push_back(nw.hub_busy(s).ns);
+  return f;
+}
+
+TEST(WireFingerprint, GoldenTotalsPerTransportAndWindow) {
+  struct Case {
+    const char* name;
+    TransportKind kind;
+    std::size_t shards;
+    std::int64_t window_us;
+    double loss;
+    WireFingerprint expect;
+  };
+  const Case cases[] = {
+      {"hub", TransportKind::HubSwitch, 4, 0, 0.0,
+       {51195408, 2385, 477, 353978, 0, {8154400}}},
+      {"hub+w500", TransportKind::HubSwitch, 4, 500, 0.0,
+       {59181876, 2943, 474, 353852, 0, {8144320}}},
+      {"tree", TransportKind::TreeMulticast, 4, 0, 0.0,
+       {83062424, 3538, 993, 761698, 0, {40772000}}},
+      {"tree+w500", TransportKind::TreeMulticast, 4, 500, 0.0,
+       {102312760, 4388, 833, 755146, 0, {0, 10631360, 19503040, 10113440}}},
+      {"direct", TransportKind::DirectAll, 4, 0, 0.0,
+       {114281248, 2901, 993, 761698, 0, {0}}},
+      {"direct+w500", TransportKind::DirectAll, 4, 500, 0.0,
+       {117670036, 3378, 993, 761698, 0, {0}}},
+      {"sharded1", TransportKind::ShardedHub, 1, 0, 0.0,
+       {51195408, 2385, 477, 353978, 0, {8154400}}},
+      {"sharded1+w500", TransportKind::ShardedHub, 1, 500, 0.0,
+       {59181876, 2943, 474, 353852, 0, {8144320}}},
+      {"sharded4", TransportKind::ShardedHub, 4, 0, 0.0,
+       {45667768, 2385, 477, 353978, 0, {0, 2642560, 3967360, 1544480}}},
+      {"sharded4+w500", TransportKind::ShardedHub, 4, 500, 0.0,
+       {52323132, 2955, 474, 353852, 0, {0, 2642560, 3967360, 1534400}}},
+      {"tree+w500+loss", TransportKind::TreeMulticast, 4, 500, 0.02,
+       {191485572, 4281, 833, 901236, 0, {0, 14587840, 27159200, 10113600}}},
+  };
+  for (const Case& c : cases) {
+    NetConfig ncfg;
+    ncfg.transport = c.kind;
+    ncfg.hub_shards = c.shards;
+    ncfg.batch_window = sim::microseconds(c.window_us);
+    ncfg.loss_probability = c.loss;
+    EXPECT_EQ(run_fingerprint(ncfg), c.expect) << c.name;
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/channel.hpp"
@@ -126,25 +128,26 @@ TEST(EventQueue, CancelWholeQueueLeavesItEmpty) {
   EXPECT_EQ(q.peak_live(), 10u);
 }
 
-TEST(EventQueue, BinaryAndQuadHeapsPopIdentically) {
-  // The (time, seq) order is total, so the pop sequence must not depend on
-  // the heap arity.  Interleaved schedule/cancel/pop on both structures.
-  EventQueue bin(2);
-  EventQueue quad(4);
-  std::vector<int> fired_bin;
-  std::vector<int> fired_quad;
-  auto drive = [](EventQueue& q, std::vector<int>& fired) {
-    std::vector<EventQueue::Handle> hs;
-    for (int i = 0; i < 100; ++i) {
-      const auto t = SimTime{(i * 37) % 50};  // heavy timestamp collisions
-      hs.push_back(q.schedule(t, [&fired, i] { fired.push_back(i); }));
-    }
-    for (int i = 0; i < 100; i += 7) q.cancel(hs[static_cast<std::size_t>(i)]);
-    while (!q.empty()) q.pop().fn();
-  };
-  drive(bin, fired_bin);
-  drive(quad, fired_quad);
-  EXPECT_EQ(fired_bin, fired_quad);
+TEST(EventQueue, PopsLiveEventsInTimeThenSequenceOrder) {
+  // The (time, seq) order is total: the heap must surface exactly the live
+  // events, earliest time first and FIFO among equal times, whatever shape
+  // interleaved schedule/cancel leaves it in.
+  EventQueue q;
+  std::vector<int> fired;
+  std::vector<std::pair<std::int64_t, int>> reference;  // (time, seq) of live events
+  std::vector<EventQueue::Handle> hs;
+  for (int i = 0; i < 100; ++i) {
+    const std::int64_t t = (i * 37) % 50;  // heavy timestamp collisions
+    hs.push_back(q.schedule(SimTime{t}, [&fired, i] { fired.push_back(i); }));
+    if (i % 7 != 0) reference.emplace_back(t, i);
+  }
+  for (int i = 0; i < 100; i += 7) q.cancel(hs[static_cast<std::size_t>(i)]);
+  while (!q.empty()) q.pop().fn();
+
+  std::sort(reference.begin(), reference.end());
+  std::vector<int> expect;
+  for (const auto& [t, seq] : reference) expect.push_back(seq);
+  EXPECT_EQ(fired, expect);
 }
 
 TEST(Engine, VirtualTimeAdvancesThroughSleeps) {
