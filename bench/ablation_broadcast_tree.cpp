@@ -53,15 +53,15 @@ int main() {
   std::printf("%s", t.render().c_str());
 
   std::printf("\nShape checks:\n");
-  std::printf("  broadcast alone removes contention: %s (par %.2fs vs %.2fs)\n",
-              bcast.par_s < orig.par_s ? "yes" : "NO", bcast.par_s, orig.par_s);
-  std::printf("  replication beats broadcast-only:   %s (par %.2fs vs %.2fs)\n",
-              opt.par_s < bcast.par_s ? "yes" : "NO", opt.par_s, bcast.par_s);
+  shape_check("broadcast alone removes contention", bcast.par_s < orig.par_s,
+              "par %.2fs vs %.2fs", bcast.par_s, orig.par_s);
+  shape_check("replication beats broadcast-only", opt.par_s < bcast.par_s, "par %.2fs vs %.2fs",
+              opt.par_s, bcast.par_s);
   const double gap = orig.par_s - opt.par_s;
   if (gap > 0) {
     std::printf("  fraction of the gain from contention elimination alone: %.0f%% "
                 "(paper: ~half)\n",
                 100.0 * (orig.par_s - bcast.par_s) / gap);
   }
-  return 0;
+  return shape_exit_code();
 }

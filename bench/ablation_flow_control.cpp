@@ -70,11 +70,11 @@ int main() {
   std::printf("%s", t.render().c_str());
 
   std::printf("\nShape checks:\n");
-  std::printf("  windowed delivery shortens the replicated sections: %s (%.2fs -> %.2fs)\n",
-              windowed_seq < chained_seq ? "yes" : "NO", chained_seq, windowed_seq);
+  shape_check("windowed delivery shortens the replicated sections", windowed_seq < chained_seq,
+              "%.2fs -> %.2fs", chained_seq, windowed_seq);
   std::printf("  (the paper anticipates exactly this: \"strategies ... will substantially\n"
               "   improve our results\", Section 8)\n");
   std::printf("  site:dec/sw/final is registry-sourced per-site decision telemetry\n"
               "  (sections decided / switch points / settled strategy).\n");
-  return 0;
+  return shape_exit_code();
 }

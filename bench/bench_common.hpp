@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -47,7 +48,7 @@ inline long env_long(const char* name, long fallback, long min = 0) {
 
 inline std::size_t bench_nodes() { return static_cast<std::size_t>(env_long("NODES", 32)); }
 
-/// The wire backend for a sweep: REPSEQ_TRANSPORT=hub|tree|direct|sharded
+/// The wire backend for a sweep: REPSEQ_TRANSPORT=hub|tree|sharded
 /// overrides the bench's own default, so every sweep can run on any
 /// transport.
 inline net::TransportKind bench_transport(
@@ -55,7 +56,7 @@ inline net::TransportKind bench_transport(
   const char* v = std::getenv("REPSEQ_TRANSPORT");
   if (v == nullptr) return fallback;
   const auto k = net::parse_transport(v);
-  if (!k) env_value_error("REPSEQ_TRANSPORT", v, "hub|tree|direct|sharded");
+  if (!k) env_value_error("REPSEQ_TRANSPORT", v, "hub|tree|sharded");
   return *k;
 }
 
@@ -168,6 +169,29 @@ inline apps::harness::RunOptions options_for(apps::harness::Mode mode,
 
 inline std::string fmt1(double v) { return util::fmt_fixed(v, 1); }
 inline std::string fmt2(double v) { return util::fmt_fixed(v, 2); }
+
+/// Paper-shape checks that printed NO in this process.
+inline int& shape_failures() {
+  static int failures = 0;
+  return failures;
+}
+
+/// Prints one paper-shape check as "  <label>: yes|NO (<detail>)", the
+/// detail formatted printf-style, and records a NO so the bench can exit 1:
+/// a run that lost the paper's shape must fail, not just say so.
+[[gnu::format(printf, 3, 4)]] inline void shape_check(const char* label, bool ok,
+                                                      const char* detail, ...) {
+  std::printf("  %s: %s (", label, ok ? "yes" : "NO");
+  std::va_list args;
+  va_start(args, detail);
+  std::vprintf(detail, args);
+  va_end(args);
+  std::printf(")\n");
+  if (!ok) ++shape_failures();
+}
+
+/// A bench's exit status: 1 when any shape check printed NO.
+inline int shape_exit_code() { return shape_failures() == 0 ? 0 : 1; }
 
 inline void print_header(const char* title, const char* paper_ref, const char* note) {
   std::printf("================================================================\n");

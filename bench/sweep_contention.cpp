@@ -214,9 +214,9 @@ int main() {
     t.add_row({std::to_string(nodes), fmt2(p.avg_ms), fmt2(p.max_ms), fmt2(p.par_s)});
   }
   std::printf("%s", t.render().c_str());
-  std::printf("\nShape check: response time grows with requester count: %s (%.2f -> %.2f ms,"
-              " %.1fx)\n",
-              r_hi > 2.0 * r_lo ? "yes" : "NO", r_lo, r_hi, r_hi / (r_lo > 0 ? r_lo : 1));
+  std::printf("\nShape checks:\n");
+  shape_check("response time grows with requester count", r_hi > 2.0 * r_lo,
+              "%.2f -> %.2f ms, %.1fx", r_lo, r_hi, r_hi / (r_lo > 0 ? r_lo : 1));
 
   std::printf("\nMulticast-medium occupancy under replicated sequential execution\n"
               "(96 pages, one RSE round per page; transport %s)\n",
@@ -257,5 +257,5 @@ int main() {
               "read-only consumer section on it (checksum invariant per node count).\n"
               "site:dec/sw/final reads per-site decision telemetry off the metrics\n"
               "registry: sections decided, switch points, and the settled strategy.\n");
-  return 0;
+  return shape_exit_code();
 }

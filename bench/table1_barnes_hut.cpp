@@ -47,13 +47,12 @@ int main() {
   std::printf("%s", t.render().c_str());
 
   std::printf("\nShape checks:\n");
-  std::printf("  optimized beats original overall: %s (%.1fs vs %.1fs; paper +51%%, here %s)\n",
-              opt.total_s < orig.total_s ? "yes" : "NO",
-              opt.total_s, orig.total_s,
+  shape_check("optimized beats original overall", opt.total_s < orig.total_s,
+              "%.1fs vs %.1fs; paper +51%%, here %s", opt.total_s, orig.total_s,
               util::fmt_pct_change(seq.total_s / orig.total_s, seq.total_s / opt.total_s).c_str());
-  std::printf("  replication slows the sequential sections: %s (%.2fs vs %.2fs)\n",
-              opt.seq_s > orig.seq_s ? "yes" : "NO", opt.seq_s, orig.seq_s);
-  std::printf("  parallel sections accelerate: %s (%.2fs vs %.2fs)\n",
-              opt.par_s < orig.par_s ? "yes" : "NO", opt.par_s, orig.par_s);
-  return 0;
+  shape_check("replication slows the sequential sections", opt.seq_s > orig.seq_s,
+              "%.2fs vs %.2fs", opt.seq_s, orig.seq_s);
+  shape_check("parallel sections accelerate", opt.par_s < orig.par_s, "%.2fs vs %.2fs",
+              opt.par_s, orig.par_s);
+  return shape_exit_code();
 }

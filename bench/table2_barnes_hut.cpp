@@ -54,20 +54,19 @@ int main() {
   std::printf("%s", t.render().c_str());
 
   std::printf("\nShape checks:\n");
-  std::printf("  parallel data shrinks:   %s (%.0fx reduction; paper 3.3x)\n",
-              opt.par_kb < orig.par_kb ? "yes" : "NO",
-              static_cast<double>(orig.par_kb) / static_cast<double>(opt.par_kb == 0 ? 1 : opt.par_kb));
-  std::printf("  parallel response drops: %s (%.2fms -> %.2fms; paper 3.34 -> 0.98)\n",
-              opt.par_response_ms < orig.par_response_ms ? "yes" : "NO", orig.par_response_ms,
-              opt.par_response_ms);
-  std::printf("  sequential messages rise: %s (%llu -> %llu; paper 96,848 -> 205,892)\n",
-              opt.seq_msgs > orig.seq_msgs ? "yes" : "NO",
+  const double kb_ratio =
+      static_cast<double>(orig.par_kb) / static_cast<double>(opt.par_kb == 0 ? 1 : opt.par_kb);
+  shape_check("parallel data shrinks", opt.par_kb < orig.par_kb, "%.0fx reduction; paper 3.3x",
+              kb_ratio);
+  shape_check("parallel response drops", opt.par_response_ms < orig.par_response_ms,
+              "%.2fms -> %.2fms; paper 3.34 -> 0.98", orig.par_response_ms, opt.par_response_ms);
+  shape_check("sequential messages rise", opt.seq_msgs > orig.seq_msgs,
+              "%llu -> %llu; paper 96,848 -> 205,892",
               static_cast<unsigned long long>(orig.seq_msgs),
               static_cast<unsigned long long>(opt.seq_msgs));
-  std::printf("  sequential response rises: %s (%.2fms -> %.2fms; paper 0.67 -> 2.12)\n",
-              opt.seq_response_ms > orig.seq_response_ms ? "yes" : "NO", orig.seq_response_ms,
-              opt.seq_response_ms);
+  shape_check("sequential response rises", opt.seq_response_ms > orig.seq_response_ms,
+              "%.2fms -> %.2fms; paper 0.67 -> 2.12", orig.seq_response_ms, opt.seq_response_ms);
   std::printf("  slowest thread's parallel diff wait: %.2fs -> %.2fs (paper 34.6 -> 5)\n",
               orig.par_fault_wait_max_s, opt.par_fault_wait_max_s);
-  return 0;
+  return shape_exit_code();
 }

@@ -2,7 +2,8 @@
 //
 // The paper ran the real Ilink on the CLP pedigree (180 iterations); this
 // harness runs the structurally-equivalent synthetic linkage workload (see
-// DESIGN.md Section 1).  Shape to check: the optimized system's win is much
+// "ompnow / apps -- programming model and experiments" in
+// docs/ARCHITECTURE.md).  Shape to check: the optimized system's win is much
 // larger than for Barnes-Hut (paper: speedup 1.9 -> 5.5, +189%), because
 // the base system's parallel sections are almost pure contention.
 #include "bench_common.hpp"
@@ -45,12 +46,12 @@ int main() {
   std::printf("%s", t.render().c_str());
 
   std::printf("\nShape checks:\n");
-  std::printf("  optimized beats original overall: %s (%.1fs vs %.1fs; paper +189%%, here %s)\n",
-              opt.total_s < orig.total_s ? "yes" : "NO", opt.total_s, orig.total_s,
+  shape_check("optimized beats original overall", opt.total_s < orig.total_s,
+              "%.1fs vs %.1fs; paper +189%%, here %s", opt.total_s, orig.total_s,
               util::fmt_pct_change(seq.total_s / orig.total_s, seq.total_s / opt.total_s).c_str());
-  std::printf("  replication slows the sequential sections: %s (%.2fs vs %.2fs)\n",
-              opt.seq_s > orig.seq_s ? "yes" : "NO", opt.seq_s, orig.seq_s);
-  std::printf("  parallel sections collapse: %s (%.2fs vs %.2fs; paper 48.1 -> 8.8)\n",
-              opt.par_s < orig.par_s ? "yes" : "NO", opt.par_s, orig.par_s);
-  return 0;
+  shape_check("replication slows the sequential sections", opt.seq_s > orig.seq_s,
+              "%.2fs vs %.2fs", opt.seq_s, orig.seq_s);
+  shape_check("parallel sections collapse", opt.par_s < orig.par_s,
+              "%.2fs vs %.2fs; paper 48.1 -> 8.8", opt.par_s, orig.par_s);
+  return shape_exit_code();
 }

@@ -57,15 +57,12 @@ int main() {
                             ? 100.0 * (1.0 - static_cast<double>(opt.par_kb) /
                                                  static_cast<double>(orig.par_kb))
                             : 0.0;
-  std::printf("  parallel diff data cut:   %s (%.0f%%; paper 97%%)\n",
-              opt.par_kb < orig.par_kb ? "yes" : "NO", kb_cut);
-  std::printf("  parallel response drops:  %s (%.2fms -> %.2fms; paper 3.01 -> 0.64)\n",
-              opt.par_response_ms < orig.par_response_ms ? "yes" : "NO", orig.par_response_ms,
-              opt.par_response_ms);
-  std::printf("  sequential response rises: %s (%.2fms -> %.2fms; paper 0.94 -> 1.71)\n",
-              opt.seq_response_ms > orig.seq_response_ms ? "yes" : "NO", orig.seq_response_ms,
-              opt.seq_response_ms);
+  shape_check("parallel diff data cut", opt.par_kb < orig.par_kb, "%.0f%%; paper 97%%", kb_cut);
+  shape_check("parallel response drops", opt.par_response_ms < orig.par_response_ms,
+              "%.2fms -> %.2fms; paper 3.01 -> 0.64", orig.par_response_ms, opt.par_response_ms);
+  shape_check("sequential response rises", opt.seq_response_ms > orig.seq_response_ms,
+              "%.2fms -> %.2fms; paper 0.94 -> 1.71", orig.seq_response_ms, opt.seq_response_ms);
   std::printf("  slowest thread's parallel diff wait: %.2fs -> %.2fs (paper 39.8 -> 0.4)\n",
               orig.par_fault_wait_max_s, opt.par_fault_wait_max_s);
-  return 0;
+  return shape_exit_code();
 }

@@ -5,7 +5,7 @@
 // response time and an ASCII bar of the master's service backlog effect.
 //
 // Build & run:   ./build/examples/contention_explorer
-//                    [hub|tree|direct|sharded] [shards]
+//                    [hub|tree|sharded] [shards]
 //                    [--mode base|replicated|broadcast|adaptive]
 //                    [--policy static|greedy|hysteresis]
 //
@@ -105,7 +105,7 @@ std::size_t nodes_cap() {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [hub|tree|direct|sharded] [shards]\n"
+               "usage: %s [hub|tree|sharded] [shards]\n"
                "          [--mode base|replicated|broadcast|adaptive]\n"
                "          [--policy static|greedy|hysteresis]\n"
                "          [--batch-window <microseconds>]\n"

@@ -24,9 +24,6 @@ enum class TransportKind {
   /// Software multicast: a k-ary forwarding tree of switched unicasts with
   /// per-hop latency (the Section 6.1.2 hand-inserted tree broadcast).
   TreeMulticast,
-  /// Strawman: multicast as a per-destination unicast fan-out serialized on
-  /// the source uplink.
-  DirectAll,
   /// S independent hub media (NetConfig::hub_shards); each multicast group
   /// hashes to one shard, so rounds on disjoint groups never serialize on
   /// the same medium.  Same HubTransport as HubSwitch, which is S = 1.
@@ -39,8 +36,6 @@ enum class TransportKind {
       return "hub-switch";
     case TransportKind::TreeMulticast:
       return "tree-multicast";
-    case TransportKind::DirectAll:
-      return "direct-all";
     case TransportKind::ShardedHub:
       return "sharded-hub";
   }
@@ -48,12 +43,10 @@ enum class TransportKind {
 }
 
 /// Parses a transport selection from a CLI flag / environment variable.
-/// Accepts the canonical names plus short aliases ("hub", "tree", "direct",
-/// "sharded").
+/// Accepts the canonical names plus short aliases ("hub", "tree", "sharded").
 [[nodiscard]] inline std::optional<TransportKind> parse_transport(std::string_view s) {
   if (s == "hub" || s == "hub-switch") return TransportKind::HubSwitch;
   if (s == "tree" || s == "tree-multicast") return TransportKind::TreeMulticast;
-  if (s == "direct" || s == "direct-all") return TransportKind::DirectAll;
   if (s == "sharded" || s == "sharded-hub") return TransportKind::ShardedHub;
   return std::nullopt;
 }

@@ -1,7 +1,6 @@
 #include "net/transport.hpp"
 
 #include "net/batching_transport.hpp"
-#include "net/direct_all_transport.hpp"
 #include "net/hub_transport.hpp"
 #include "net/tree_multicast_transport.hpp"
 #include "util/check.hpp"
@@ -17,8 +16,6 @@ std::unique_ptr<Transport> make_backend(sim::Engine& eng, const NetConfig& cfg,
       return std::make_unique<HubTransport>(eng, cfg, nics, 1);
     case TransportKind::TreeMulticast:
       return std::make_unique<TreeMulticastTransport>(eng, cfg, nics);
-    case TransportKind::DirectAll:
-      return std::make_unique<DirectAllTransport>(eng, cfg, nics);
     case TransportKind::ShardedHub:
       return std::make_unique<HubTransport>(eng, cfg, nics,
                                             std::max<std::size_t>(1, cfg.hub_shards));

@@ -91,30 +91,25 @@ class Transport {
   [[nodiscard]] virtual bool defers_delivery() const { return false; }
 
   /// Frames the *source node itself* transmits for one group send -- what
-  /// its CPU is charged send overhead for.  1 on a multicast medium; the
-  /// fan-out strawman pays per receiver; a forwarding tree's root pays per
-  /// child (descendant forwarding costs are modeled as wire time only).
+  /// its CPU is charged send overhead for.  1 on a multicast medium; a
+  /// forwarding tree's root pays per child (descendant forwarding costs are
+  /// modeled as wire time only).
   [[nodiscard]] virtual std::size_t sender_frames(std::size_t receivers) const {
     (void)receivers;
     return 1;
   }
 
   /// Number of independent multicast serialization domains this backend
-  /// exposes: the hub transport's hub count; 1 for the fan-out strawman
-  /// and for the tree without a coalescing window (NetConfig::hub_shards
-  /// with one).  Upper layers size their per-shard round tables off this.
-  [[nodiscard]] virtual std::size_t shard_count() const { return 1; }
+  /// exposes: the hub transport's hub count; 1 for the tree without a
+  /// coalescing window (NetConfig::hub_shards with one).  Upper layers size
+  /// their per-shard round tables off this.
+  [[nodiscard]] virtual std::size_t shard_count() const = 0;
 
   /// Total time shard `s` of the multicast medium was busy transmitting
   /// (hub occupancy).  The forwarding tree has no shared medium but still
   /// reports its aggregate forwarding-uplink transmit time here, so
-  /// occupancy conservation can be checked per backend; the fan-out
-  /// strawman reports zero (its cost is already fully visible as source
-  /// uplink serialization).
-  [[nodiscard]] virtual sim::SimDuration shard_busy(std::size_t s) const {
-    (void)s;
-    return {};
-  }
+  /// occupancy conservation can be checked per backend.
+  [[nodiscard]] virtual sim::SimDuration shard_busy(std::size_t s) const = 0;
 
  protected:
   sim::Engine& eng_;

@@ -45,12 +45,11 @@ RseController::MasterShard& RseController::master_shard(std::size_t shard) {
   return state_[0].shards[shard];
 }
 
-void RseController::begin_round(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req,
-                                bool on_server) {
+void RseController::begin_round(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req) {
   if (flow_ == FlowControl::Chained) {
-    chain_begin_chained(rt, req, on_server);
+    chain_begin_chained(rt, req);
   } else {
-    begin_concurrent(rt, req, on_server);
+    begin_concurrent(rt, req);
   }
 }
 
@@ -116,10 +115,10 @@ void RseController::enter(tmk::NodeRuntime& rt) {
           std::move(st.gathering));
       st.gathering.clear();
       st.notices_collected = 0;
-      rt.send_multicast(MsgKind::ValidTable, tmk::ValidTableP{table}, /*on_server=*/false);
+      rt.send_multicast(MsgKind::ValidTable, tmk::ValidTableP{table});
       st.table = table;
     } else {
-      rt.send_unicast(MsgKind::ValidNotices, 0, std::move(mine), /*on_server=*/false);
+      rt.send_unicast(MsgKind::ValidNotices, 0, std::move(mine));
       while (!st.table) {
         sim::WaitToken tok(cluster_.engine());
         st.table_waiter = &tok;
@@ -248,14 +247,14 @@ void RseController::on_fault(tmk::NodeRuntime& rt, PageId page) {
       // Strawman: the faulting node multicasts its request directly; no
       // serialization at the master, holders reply immediately.
       tmk::McastDiffRequestP req{0, page, rt.id(), std::move(wanted)};
-      rt.send_multicast(MsgKind::McastDiffRequest, req, /*on_server=*/false, /*group=*/page);
-      begin_round(rt, req, /*on_server=*/false);
+      rt.send_multicast(MsgKind::McastDiffRequest, req, /*group=*/page);
+      begin_round(rt, req);
     } else {
       tmk::McastRequestFwdP fwd{page, rt.id(), std::move(wanted)};
       if (rt.is_master()) {
-        master_enqueue(rt, std::move(fwd), /*on_server=*/false);
+        master_enqueue(rt, std::move(fwd));
       } else {
-        rt.send_unicast(MsgKind::McastRequestFwd, 0, std::move(fwd), /*on_server=*/false);
+        rt.send_unicast(MsgKind::McastRequestFwd, 0, std::move(fwd));
       }
     }
   }
@@ -301,21 +300,19 @@ void RseController::recover(tmk::NodeRuntime& rt, PageId page) {
   // directly, ignoring the election; the replies are still multicast.
   const tmk::WantedByOwner wanted = rt.wanted_for_page(page);
   for (const auto& [owner, ivs] : wanted) {
-    rt.send_unicast(MsgKind::RecoverRequest, owner, tmk::RecoverRequestP{rt.next_req_id(), page, ivs},
-                    /*on_server=*/false);
+    rt.send_unicast(MsgKind::RecoverRequest, owner,
+                    tmk::RecoverRequestP{rt.next_req_id(), page, ivs});
   }
 }
 
-void RseController::master_enqueue(tmk::NodeRuntime& master, tmk::McastRequestFwdP fwd,
-                                   bool on_server) {
+void RseController::master_enqueue(tmk::NodeRuntime& master, tmk::McastRequestFwdP fwd) {
   const std::size_t shard = shard_for(fwd.page);
   MasterShard& ms = master_shard(shard);
   ms.queue.push_back(tmk::McastDiffRequestP{0, fwd.page, fwd.requester, std::move(fwd.wanted)});
-  if (!ms.round_in_flight) master_start_next(master, shard, on_server);
+  if (!ms.round_in_flight) master_start_next(master, shard);
 }
 
-void RseController::master_start_next(tmk::NodeRuntime& master, std::size_t shard,
-                                      bool on_server) {
+void RseController::master_start_next(tmk::NodeRuntime& master, std::size_t shard) {
   MasterShard& ms = master_shard(shard);
   if (ms.queue.empty()) {
     ms.round_in_flight = false;
@@ -341,8 +338,8 @@ void RseController::master_start_next(tmk::NodeRuntime& master, std::size_t shar
                          {"requester", static_cast<double>(req.requester)},
                          {"queued", static_cast<double>(ms.queue.size())}});
   }
-  master.send_multicast(MsgKind::McastDiffRequest, req, on_server, /*group=*/req.page);
-  begin_round(master, req, on_server);  // the master never receives its own frame
+  master.send_multicast(MsgKind::McastDiffRequest, req, /*group=*/req.page);
+  begin_round(master, req);  // the master never receives its own frame
 
   // Watchdog: a lost frame stalls the ack chain (and with it this shard's
   // round queue) indefinitely.  If this round is still in flight when the
@@ -369,8 +366,7 @@ void RseController::master_start_next(tmk::NodeRuntime& master, std::size_t shar
       });
 }
 
-void RseController::master_round_finished(tmk::NodeRuntime& master, std::size_t shard,
-                                          bool on_server) {
+void RseController::master_round_finished(tmk::NodeRuntime& master, std::size_t shard) {
   MasterShard& ms = master_shard(shard);
   REPSEQ_CHECK(ms.round_in_flight, "round finish without a round");
   // Every round ending -- normal chain/window completion AND watchdog
@@ -387,11 +383,10 @@ void RseController::master_round_finished(tmk::NodeRuntime& master, std::size_t 
     cluster_.engine().cancel(ms.round_watchdog);
     ms.round_watchdog = nullptr;
   }
-  master_start_next(master, shard, on_server);
+  master_start_next(master, shard);
 }
 
-void RseController::chain_begin_chained(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req,
-                                        bool on_server) {
+void RseController::chain_begin_chained(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req) {
   const std::size_t shard = shard_for(req.page);
   RoundState& st = round_state(rt, shard);
   st.round = req.round;
@@ -407,16 +402,15 @@ void RseController::chain_begin_chained(tmk::NodeRuntime& rt, const tmk::McastDi
   }
   st.early_frames.erase(st.early_frames.begin(), st.early_frames.upper_bound(req.round));
   while (st.next_sender == rt.id()) {
-    chain_send_own(rt, shard, on_server);
+    chain_send_own(rt, shard);
   }
   for (net::NodeId s : replay) {
-    chain_observe(rt, shard, s, on_server);
+    chain_observe(rt, shard, s);
   }
-  chain_maybe_finish(rt, shard, on_server);
+  chain_maybe_finish(rt, shard);
 }
 
-void RseController::begin_concurrent(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req,
-                                     bool on_server) {
+void RseController::begin_concurrent(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req) {
   // Concurrent replies: every holder answers immediately.
   const std::size_t shard = shard_for(req.page);
   RoundState& st = round_state(rt, shard);
@@ -426,37 +420,36 @@ void RseController::begin_concurrent(tmk::NodeRuntime& rt, const tmk::McastDiffR
   const bool i_hold = std::any_of(req.wanted.begin(), req.wanted.end(),
                                   [&](const auto& w) { return w.first == rt.id(); });
   if (i_hold) {
-    send_own_frame(rt, shard, on_server);
+    send_own_frame(rt, shard);
     if (flow_ == FlowControl::Windowed && rt.is_master()) {
-      window_retire(rt, shard, rt.id(), req.round, on_server);
+      window_retire(rt, shard, rt.id(), req.round);
     }
   }
 }
 
-void RseController::send_own_frame(tmk::NodeRuntime& rt, std::size_t shard, bool on_server) {
+void RseController::send_own_frame(tmk::NodeRuntime& rt, std::size_t shard) {
   RoundState& st = round_state(rt, shard);
   auto it = std::find_if(st.round_wanted.begin(), st.round_wanted.end(),
                          [&](const auto& w) { return w.first == rt.id(); });
   if (it != st.round_wanted.end()) {
-    std::vector<tmk::DiffPacket> packets = rt.collect_diffs(st.round_page, it->second, on_server);
+    std::vector<tmk::DiffPacket> packets = rt.collect_diffs(st.round_page, it->second);
     rt.send_multicast(MsgKind::McastDiffReply,
                       tmk::McastDiffReplyP{st.round, st.round_page, rt.id(), std::move(packets)},
-                      on_server, /*group=*/st.round_page);
+                      /*group=*/st.round_page);
   } else {
     // "otherwise a null acknowledgment message is sent" (Section 5.4.2).
     rt.send_multicast(MsgKind::McastNullAck,
-                      tmk::McastNullAckP{st.round, st.round_page, rt.id()}, on_server,
+                      tmk::McastNullAckP{st.round, st.round_page, rt.id()},
                       /*group=*/st.round_page);
   }
 }
 
-void RseController::chain_send_own(tmk::NodeRuntime& rt, std::size_t shard, bool on_server) {
-  send_own_frame(rt, shard, on_server);
+void RseController::chain_send_own(tmk::NodeRuntime& rt, std::size_t shard) {
+  send_own_frame(rt, shard);
   ++round_state(rt, shard).next_sender;
 }
 
-void RseController::chain_observe(tmk::NodeRuntime& rt, std::size_t shard, net::NodeId sender,
-                                  bool on_server) {
+void RseController::chain_observe(tmk::NodeRuntime& rt, std::size_t shard, net::NodeId sender) {
   RoundState& st = round_state(rt, shard);
   // On the FIFO hub, frames arrive strictly in thread-id order without
   // loss.  A gap means a lost frame (skip over it; the requester's timeout
@@ -468,15 +461,15 @@ void RseController::chain_observe(tmk::NodeRuntime& rt, std::size_t shard, net::
   const bool own_turn_skipped = st.next_sender <= rt.id() && rt.id() < sender;
   st.next_sender = sender + 1;
   if (own_turn_skipped) {
-    send_own_frame(rt, shard, on_server);
+    send_own_frame(rt, shard);
   }
   while (st.next_sender == rt.id()) {
-    chain_send_own(rt, shard, on_server);
+    chain_send_own(rt, shard);
   }
-  chain_maybe_finish(rt, shard, on_server);
+  chain_maybe_finish(rt, shard);
 }
 
-void RseController::chain_maybe_finish(tmk::NodeRuntime& rt, std::size_t shard, bool on_server) {
+void RseController::chain_maybe_finish(tmk::NodeRuntime& rt, std::size_t shard) {
   if (!rt.is_master()) return;
   const RoundState& st = round_state(rt, shard);
   if (st.next_sender < cluster_.node_count()) return;
@@ -487,23 +480,22 @@ void RseController::chain_maybe_finish(tmk::NodeRuntime& rt, std::size_t shard, 
   // else's round.
   const MasterShard& ms = master_shard(shard);
   if (ms.round_in_flight && ms.active_round == st.round) {
-    master_round_finished(rt, shard, on_server);
+    master_round_finished(rt, shard);
   }
 }
 
 void RseController::window_retire(tmk::NodeRuntime& rt, std::size_t shard, net::NodeId sender,
-                                  std::uint64_t round, bool on_server) {
+                                  std::uint64_t round) {
   MasterShard& ms = master_shard(shard);
   // A reply from a watchdog-abandoned round must not shrink the successor
   // round's window.
   if (!ms.round_in_flight || round != ms.active_round) return;
   std::erase(ms.awaiting_replies, sender);
-  if (ms.awaiting_replies.empty()) master_round_finished(rt, shard, on_server);
+  if (ms.awaiting_replies.empty()) master_round_finished(rt, shard);
 }
 
 void RseController::apply_mcast_packets(tmk::NodeRuntime& rt,
-                                        const std::vector<tmk::DiffPacket>& pkts,
-                                        bool on_server) {
+                                        const std::vector<tmk::DiffPacket>& pkts) {
   // Frames of one round arrive in chain (node-id) order, not causal order.
   // With causally ordered same-page writers -- a lock chain before the
   // section -- applying each frame on arrival would let an older diff land
@@ -545,7 +537,7 @@ void RseController::apply_mcast_packets(tmk::NodeRuntime& rt,
     if (sp.needed.empty()) {
       std::vector<tmk::DiffPacket> batch = std::move(sp.frames);
       st.staged.erase(it);
-      rt.apply_packets_causally(std::move(batch), on_server);
+      rt.apply_packets_causally(std::move(batch));
     }
   }
 }
@@ -571,15 +563,14 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
     if (st.table_waiter != nullptr) st.table_waiter->signal();
   });
   engine.on(MsgKind::McastDiffRequest, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
-    begin_round(rt, msg.as<tmk::McastDiffRequestP>(), /*on_server=*/true);
+    begin_round(rt, msg.as<tmk::McastDiffRequestP>());
   });
   engine.on(MsgKind::RecoverRequest, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
     const auto& r = msg.as<tmk::RecoverRequestP>();
-    std::vector<tmk::DiffPacket> packets = rt.collect_diffs(r.page, r.intervals,
-                                                            /*on_server=*/true);
+    std::vector<tmk::DiffPacket> packets = rt.collect_diffs(r.page, r.intervals);
     rt.send_multicast(MsgKind::McastDiffReply,
                       tmk::McastDiffReplyP{0, r.page, rt.id(), std::move(packets)},
-                      /*on_server=*/true, /*group=*/r.page);
+                      /*group=*/r.page);
   });
 
   // ---- per-variant handler sets ----
@@ -588,12 +579,12 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
     case FlowControl::Chained:
       engine.on(MsgKind::McastDiffReply, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
         const auto& r = msg.as<tmk::McastDiffReplyP>();
-        apply_mcast_packets(rt, r.packets, /*on_server=*/true);
+        apply_mcast_packets(rt, r.packets);
         if (r.round != 0) {
           const std::size_t shard = shard_for(r.page);
           RoundState& st = round_state(rt, shard);
           if (r.round == st.round) {
-            chain_observe(rt, shard, r.sender, /*on_server=*/true);
+            chain_observe(rt, shard, r.sender);
           } else if (r.round > st.round) {
             // Overtook its own round's request (non-FIFO transport); park
             // for replay when that request arrives.
@@ -606,7 +597,7 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
         const std::size_t shard = shard_for(a.page);
         RoundState& st = round_state(rt, shard);
         if (a.round == st.round) {
-          chain_observe(rt, shard, a.sender, /*on_server=*/true);
+          chain_observe(rt, shard, a.sender);
         } else if (a.round > st.round) {
           st.early_frames[a.round].insert(a.sender);
         }
@@ -615,16 +606,16 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
     case FlowControl::Windowed:
       engine.on(MsgKind::McastDiffReply, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
         const auto& r = msg.as<tmk::McastDiffReplyP>();
-        apply_mcast_packets(rt, r.packets, /*on_server=*/true);
+        apply_mcast_packets(rt, r.packets);
         if (r.round != 0 && rt.is_master()) {
-          window_retire(rt, shard_for(r.page), r.sender, r.round, /*on_server=*/true);
+          window_retire(rt, shard_for(r.page), r.sender, r.round);
         }
       });
       break;
     case FlowControl::None:
       // No rounds, no acks: replies carry diffs and nothing else.
       engine.on(MsgKind::McastDiffReply, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
-        apply_mcast_packets(rt, msg.as<tmk::McastDiffReplyP>().packets, /*on_server=*/true);
+        apply_mcast_packets(rt, msg.as<tmk::McastDiffReplyP>().packets);
       });
       break;
   }
@@ -635,7 +626,7 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
   if (flow_ != FlowControl::None) {
     engine.on(MsgKind::McastRequestFwd, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
       REPSEQ_CHECK(rt.is_master(), "forwarded request routed to non-master");
-      master_enqueue(rt, msg.as<tmk::McastRequestFwdP>(), /*on_server=*/true);
+      master_enqueue(rt, msg.as<tmk::McastRequestFwdP>());
     });
     engine.on(MsgKind::RseRoundTick, [this](tmk::NodeRuntime& rt, const net::Message& msg) {
       REPSEQ_CHECK(rt.is_master(), "round tick on non-master");
@@ -648,7 +639,7 @@ void RseController::register_handlers(tmk::ProtocolEngine& engine) {
                                 {{"round", static_cast<double>(tick.round)},
                                  {"shard", static_cast<double>(tick.shard)}});
         }
-        master_round_finished(rt, tick.shard, /*on_server=*/true);
+        master_round_finished(rt, tick.shard);
       }
     });
   }

@@ -176,38 +176,35 @@ class RseController final : public tmk::RseHooks {
 
   /// Master: enqueue a forwarded request on its page's shard, start it if
   /// that shard has no round in flight.
-  void master_enqueue(tmk::NodeRuntime& master, tmk::McastRequestFwdP fwd, bool on_server);
-  void master_start_next(tmk::NodeRuntime& master, std::size_t shard, bool on_server);
-  void master_round_finished(tmk::NodeRuntime& master, std::size_t shard, bool on_server);
+  void master_enqueue(tmk::NodeRuntime& master, tmk::McastRequestFwdP fwd);
+  void master_start_next(tmk::NodeRuntime& master, std::size_t shard);
+  void master_round_finished(tmk::NodeRuntime& master, std::size_t shard);
 
   /// Round entry at node `rt` (on multicast-request receipt, or locally at
   /// the sender): Chained walks the ack chain, Windowed/None reply
   /// immediately when holding requested diffs.
-  void begin_round(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req, bool on_server);
-  void chain_begin_chained(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req,
-                           bool on_server);
-  void begin_concurrent(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req, bool on_server);
+  void begin_round(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req);
+  void chain_begin_chained(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req);
+  void begin_concurrent(tmk::NodeRuntime& rt, const tmk::McastDiffRequestP& req);
   /// Advances the shard's ack chain after `sender`'s frame was observed.
-  void chain_observe(tmk::NodeRuntime& rt, std::size_t shard, net::NodeId sender,
-                     bool on_server);
+  void chain_observe(tmk::NodeRuntime& rt, std::size_t shard, net::NodeId sender);
   /// Finishes the master's round when the chain has walked every node AND
   /// the round is still the one in flight (a watchdog-abandoned round's
   /// late-completing chain must not finish its successor).
-  void chain_maybe_finish(tmk::NodeRuntime& rt, std::size_t shard, bool on_server);
+  void chain_maybe_finish(tmk::NodeRuntime& rt, std::size_t shard);
   /// Sends this node's frame (diffs or null ack) for the shard's round.
-  void send_own_frame(tmk::NodeRuntime& rt, std::size_t shard, bool on_server);
+  void send_own_frame(tmk::NodeRuntime& rt, std::size_t shard);
   /// send_own_frame at this node's chain turn; advances the turn counter.
-  void chain_send_own(tmk::NodeRuntime& rt, std::size_t shard, bool on_server);
+  void chain_send_own(tmk::NodeRuntime& rt, std::size_t shard);
   /// Windowed: retire `sender`'s reply for `round` from the shard's master
   /// window (ignores replies of abandoned rounds).
   void window_retire(tmk::NodeRuntime& rt, std::size_t shard, net::NodeId sender,
-                     std::uint64_t round, bool on_server);
+                     std::uint64_t round);
 
   /// Applies multicast diff packets if (and only if) this node still misses
   /// them; valid pages are never overwritten (their replicated writes may
   /// already have diverged from the pre-section image).
-  void apply_mcast_packets(tmk::NodeRuntime& rt, const std::vector<tmk::DiffPacket>& pkts,
-                           bool on_server);
+  void apply_mcast_packets(tmk::NodeRuntime& rt, const std::vector<tmk::DiffPacket>& pkts);
 
   /// Timeout recovery (Section 5.4.2): request own missing diffs directly.
   void recover(tmk::NodeRuntime& rt, tmk::PageId page);

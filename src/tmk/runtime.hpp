@@ -141,16 +141,14 @@ class NodeRuntime {
   void end_interval();
 
   /// Logs a remote interval record and invalidates its pages.
-  void apply_notice(const IntervalRecordPtr& rec, bool on_server);
+  void apply_notice(const IntervalRecordPtr& rec);
 
   /// Creates and registers the diff for a page's twin (lazy diff creation).
-  /// `on_server` selects whether the cost lands on service or compute time.
-  void flush_diff(PageId p, bool on_server);
+  void flush_diff(PageId p);
 
   /// Serves a diff request: collects (creating when needed) diffs covering
   /// `intervals` of this node for `page`.
-  std::vector<DiffPacket> collect_diffs(PageId page, const std::vector<std::uint32_t>& intervals,
-                                        bool on_server);
+  std::vector<DiffPacket> collect_diffs(PageId page, const std::vector<std::uint32_t>& intervals);
 
   /// Applies one diff packet; updates validity, clears satisfied pending
   /// notices.
@@ -159,7 +157,7 @@ class NodeRuntime {
   /// Sorts packets causally (Lamport projection of the newest covered
   /// interval; merged lazy diffs land before packets that saw their oldest
   /// interval) and applies them all, charging apply costs.
-  void apply_packets_causally(std::vector<DiffPacket> pkts, bool on_server);
+  void apply_packets_causally(std::vector<DiffPacket> pkts);
 
   /// The base-protocol fault path: request diffs from the last writers.
   void fault_in_page(PageId p);
@@ -167,22 +165,23 @@ class NodeRuntime {
   /// Groups a page's pending notices by owner (ascending intervals).
   [[nodiscard]] WantedByOwner wanted_for_page(PageId p) const;
 
-  /// Send helpers: charge CPU overhead and tag per-phase statistics.
-  void send_raw_unicast(net::Message msg, bool on_server);
-  void send_raw_multicast(net::Message msg, bool on_server);
+  /// Send helpers: charge CPU overhead (service time on the dispatcher,
+  /// compute on the application fiber) and tag per-phase statistics.
+  void send_raw_unicast(net::Message msg);
+  void send_raw_multicast(net::Message msg);
 
   template <typename P>
-  void send_unicast(MsgKind kind, NodeId dst, P payload, bool on_server) {
-    send_raw_unicast(make_message(kind, id_, dst, std::move(payload)), on_server);
+  void send_unicast(MsgKind kind, NodeId dst, P payload) {
+    send_raw_unicast(make_message(kind, id_, dst, std::move(payload)));
   }
   /// `group` keys the multicast group: the sharded-hub medium hashes it to
   /// a shard, so traffic for disjoint groups rides independent media.  The
   /// RSE engine keys round traffic by page; control traffic uses group 0.
   template <typename P>
-  void send_multicast(MsgKind kind, P payload, bool on_server, std::uint64_t group = 0) {
+  void send_multicast(MsgKind kind, P payload, std::uint64_t group = 0) {
     net::Message m = make_message(kind, id_, net::kMulticastDst, std::move(payload));
     m.mcast_group = group;
-    send_raw_multicast(std::move(m), on_server);
+    send_raw_multicast(std::move(m));
   }
 
   /// RSE integration.
@@ -237,6 +236,12 @@ class NodeRuntime {
  private:
   friend class Cluster;
 
+  /// Whether the calling fiber is this node's request server.  Who pays a
+  /// protocol cost follows from it: the dispatcher's work is a service
+  /// interrupt (sim::Cpu::service), the application fiber's is compute.
+  /// Checks that the caller is one of this node's fibers.
+  [[nodiscard]] bool on_dispatcher() const;
+
   // message handlers (dispatcher fiber)
   void handle_message(const net::Message& msg);
   void handle_diff_request(const net::Message& msg);
@@ -250,8 +255,7 @@ class NodeRuntime {
   void set_erase(std::vector<PageId>& set, std::uint32_t PageState::*slot, PageId p);
   [[nodiscard]] static std::vector<PageId> sorted(std::vector<PageId> set);
 
-  void merge_sync_payload(const VectorClock& vc, const std::vector<IntervalRecordPtr>& records,
-                          bool on_server);
+  void merge_sync_payload(const VectorClock& vc, const std::vector<IntervalRecordPtr>& records);
   [[nodiscard]] std::vector<IntervalRecordPtr> records_unknown_to(const VectorClock& vc) const;
 
   // barrier bookkeeping (master side)
@@ -261,7 +265,7 @@ class NodeRuntime {
     bool master_arrived = false;
     sim::WaitToken* master_waiter = nullptr;
   };
-  void barrier_complete_if_ready(std::uint64_t barrier_seq, bool on_server);
+  void barrier_complete_if_ready(std::uint64_t barrier_seq);
 
   // lock management (runs on the managing node)
   struct LockManagerState {
@@ -269,15 +273,16 @@ class NodeRuntime {
     std::optional<NodeId> last_releaser;
     std::deque<std::pair<NodeId, LockAcquireP>> waiting;
   };
-  void manager_acquire(NodeId acquirer, LockAcquireP p, bool on_server);
-  void manager_release(NodeId releaser, std::uint32_t lock, bool on_server);
+  void manager_acquire(NodeId acquirer, LockAcquireP p);
+  void manager_release(NodeId releaser, std::uint32_t lock);
   void releaser_grant(NodeId acquirer, std::uint64_t req_id, std::uint32_t lock,
-                      const VectorClock& acq_vc, bool on_server);
+                      const VectorClock& acq_vc);
   void receive_grant(net::Message msg);
 
   Cluster& cluster_;
   NodeId id_;
   sim::Cpu cpu_;
+  sim::FiberRef dispatcher_ = nullptr;  // set by Cluster::run
   util::LazyBytes mem_;
   std::vector<PageState> pages_;
   VectorClock vc_;

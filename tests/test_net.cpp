@@ -33,9 +33,9 @@ struct Backend {
 };
 
 constexpr Backend kBackends[] = {
-    {TransportKind::HubSwitch, 1},   {TransportKind::TreeMulticast, 1},
-    {TransportKind::DirectAll, 1},   {TransportKind::ShardedHub, 1},
-    {TransportKind::ShardedHub, 2},  {TransportKind::ShardedHub, 4},
+    {TransportKind::HubSwitch, 1},  {TransportKind::TreeMulticast, 1},
+    {TransportKind::ShardedHub, 1}, {TransportKind::ShardedHub, 2},
+    {TransportKind::ShardedHub, 4},
 };
 
 NetConfig config_for(const Backend& b) {
@@ -51,8 +51,6 @@ std::string backend_name(const Backend& b) {
       return "HubSwitch";
     case TransportKind::TreeMulticast:
       return "TreeMulticast";
-    case TransportKind::DirectAll:
-      return "DirectAll";
     case TransportKind::ShardedHub:
       return "ShardedHub" + std::to_string(b.shards);
   }
@@ -205,10 +203,6 @@ TEST_P(TransportConformance, LossPruningChargesOnlyTransmittedFrames) {
       frames = 1;
       attempts = kNodes - 1;
       break;
-    case TransportKind::DirectAll:
-      frames = kNodes - 1;
-      attempts = kNodes - 1;
-      break;
     case TransportKind::TreeMulticast:
       frames = cfg.mcast_tree_fanout;  // the root's children, nothing below
       attempts = cfg.mcast_tree_fanout;
@@ -320,17 +314,17 @@ TEST(NetConfig, WireBytesAddsPerFragmentHeaders) {
 }
 
 TEST(Transport, ParseAndNameRoundTrip) {
-  for (TransportKind k : {TransportKind::HubSwitch, TransportKind::TreeMulticast,
-                          TransportKind::DirectAll, TransportKind::ShardedHub}) {
+  for (TransportKind k :
+       {TransportKind::HubSwitch, TransportKind::TreeMulticast, TransportKind::ShardedHub}) {
     const auto parsed = parse_transport(transport_name(k));
     ASSERT_TRUE(parsed.has_value()) << transport_name(k);
     EXPECT_EQ(*parsed, k);
   }
   EXPECT_EQ(parse_transport("hub"), TransportKind::HubSwitch);
   EXPECT_EQ(parse_transport("tree"), TransportKind::TreeMulticast);
-  EXPECT_EQ(parse_transport("direct"), TransportKind::DirectAll);
   EXPECT_EQ(parse_transport("sharded"), TransportKind::ShardedHub);
   EXPECT_FALSE(parse_transport("carrier-pigeon").has_value());
+  EXPECT_FALSE(parse_transport("direct").has_value());
 }
 
 TEST(Transport, ShardHashDeterministicAndInRange) {
@@ -643,32 +637,6 @@ TEST(Transport, TreeMulticastUplinkUtilizationConserved) {
   EXPECT_EQ(nw.hub_busy(0), cfg.link_tx_time(wire) * (kNodes - 1));
 }
 
-TEST(Transport, DirectAllSerializesFanOutOnSourceUplink) {
-  constexpr std::size_t kNodes = 5;
-  sim::Engine eng;
-  NetConfig cfg;
-  cfg.transport = TransportKind::DirectAll;
-  Network nw(eng, cfg, kNodes);
-  std::vector<std::pair<sim::SimTime, NodeId>> order;
-  for (NodeId n = 1; n < kNodes; ++n) {
-    eng.spawn("rx" + std::to_string(n), [&nw, &order, &eng, n] {
-      (void)nw.nic(n).inbox().pop();
-      order.emplace_back(eng.now(), n);
-    });
-  }
-  eng.spawn("tx", [&] { nw.multicast(make_msg(0, kMulticastDst, 10000)); });
-  eng.run();
-  ASSERT_EQ(order.size(), kNodes - 1);
-  // Frames leave in ascending destination order and serialize on the source
-  // uplink: arrivals are spaced by one full serialization each.
-  const double leg = (10000 + 7 * 42) / 12.5e6 * 1e9;
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    EXPECT_LT(order[i - 1].first, order[i].first);
-    EXPECT_EQ(order[i].second, order[i - 1].second + 1);
-    EXPECT_NEAR(static_cast<double>((order[i].first - order[i - 1].first).ns), leg, 2000.0);
-  }
-}
-
 TEST(Transport, TreeMulticastLossCutsOffSubtrees) {
   // Store-and-forward semantics: an interior node that lost the frame has
   // nothing to forward.  With loss_probability = 1 only the root's own
@@ -870,8 +838,8 @@ TEST(Batching, WindowZeroFrameForFrameIdenticalToUnbatched) {
   // batch_window = 0 must never construct the decorator: every backend's
   // wire behaviour -- arrival instants, counters, finish time -- is
   // bit-identical to a default (windowless) config.
-  for (TransportKind kind : {TransportKind::HubSwitch, TransportKind::TreeMulticast,
-                             TransportKind::DirectAll, TransportKind::ShardedHub}) {
+  for (TransportKind kind :
+       {TransportKind::HubSwitch, TransportKind::TreeMulticast, TransportKind::ShardedHub}) {
     NetConfig plain;
     plain.transport = kind;
     plain.hub_shards = 4;
@@ -1023,10 +991,6 @@ TEST(WireFingerprint, GoldenTotalsPerTransportAndWindow) {
        {83062424, 3538, 993, 761698, 0, {40772000}}},
       {"tree+w500", TransportKind::TreeMulticast, 4, 500, 0.0,
        {102312760, 4388, 833, 755146, 0, {0, 10631360, 19503040, 10113440}}},
-      {"direct", TransportKind::DirectAll, 4, 0, 0.0,
-       {114281248, 2901, 993, 761698, 0, {0}}},
-      {"direct+w500", TransportKind::DirectAll, 4, 500, 0.0,
-       {117670036, 3378, 993, 761698, 0, {0}}},
       {"sharded1", TransportKind::ShardedHub, 1, 0, 0.0,
        {51195408, 2385, 477, 353978, 0, {8154400}}},
       {"sharded1+w500", TransportKind::ShardedHub, 1, 500, 0.0,
@@ -1073,7 +1037,6 @@ TEST(TransportProtocolMatrix, ChecksumsIdenticalAcrossModesFlowsAndTransports) {
 
   constexpr Backend kMatrixBackends[] = {{TransportKind::HubSwitch, 1},
                                          {TransportKind::TreeMulticast, 1},
-                                         {TransportKind::DirectAll, 1},
                                          {TransportKind::ShardedHub, 4}};
   const double ref = checksum_of(Mode::Sequential, {TransportKind::HubSwitch, 1},
                                  rse::FlowControl::Chained);

@@ -435,7 +435,7 @@ INSTANTIATE_TEST_SUITE_P(
 // reshapes wire framing and timing -- fewer, fatter frames, windowed flush
 // events -- but the protocol result may never notice.  Checksums and
 // interval vectors must match the unbatched single-hub reference for every
-// window size on all four backends.
+// window size on every backend.
 // ---------------------------------------------------------------------------
 
 class BatchWindowSweep : public ::testing::TestWithParam<std::int64_t /*window, us*/> {};
@@ -460,7 +460,6 @@ TEST_P(BatchWindowSweep, ChecksumAndIntervalVectorsInvariantAcrossWindows) {
   };
   check(net::TransportKind::HubSwitch, 1, "hub");
   check(net::TransportKind::ShardedHub, 4, "sharded S=4");
-  check(net::TransportKind::DirectAll, 1, "direct fan-out");
   check(net::TransportKind::TreeMulticast, 1, "piggybacking tree");
 }
 
@@ -477,7 +476,7 @@ INSTANTIATE_TEST_SUITE_P(Windows, BatchWindowSweep, ::testing::Values(50, 500, 5
 // and never schedules events of its own, so recording a full trace
 // (REPSEQ_TRACE set, all categories) may not perturb a single protocol
 // decision.  Checksums and interval vectors must be bit-identical with the
-// tracer on vs off, on all four wire backends, batched and unbatched -- the
+// tracer on vs off, on every wire backend, batched and unbatched -- the
 // adaptive workload also drags the policy-decision and registry hooks
 // through the comparison.
 // ---------------------------------------------------------------------------
@@ -529,14 +528,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(TraceAxis{net::TransportKind::HubSwitch, 1, 0},
                       TraceAxis{net::TransportKind::HubSwitch, 1, 500},
                       TraceAxis{net::TransportKind::ShardedHub, 4, 500},
-                      TraceAxis{net::TransportKind::DirectAll, 1, 500},
                       TraceAxis{net::TransportKind::TreeMulticast, 1, 0},
                       TraceAxis{net::TransportKind::TreeMulticast, 1, 500}),
     [](const ::testing::TestParamInfo<TraceAxis>& info) {
       const TraceAxis& ax = info.param;
       std::string name = ax.kind == net::TransportKind::HubSwitch    ? "Hub"
                          : ax.kind == net::TransportKind::ShardedHub ? "Sharded4"
-                         : ax.kind == net::TransportKind::DirectAll  ? "Direct"
                                                                      : "Tree";
       name += ax.window_us == 0 ? "Unbatched" : "W" + std::to_string(ax.window_us) + "us";
       return name;
@@ -544,7 +541,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Transport invariance at scale: the same protocol guarantee, but at the
-// cluster sizes the perf work targets.  All four wire backends must agree on
+// cluster sizes the perf work targets.  Every wire backend must agree on
 // checksums and interval vectors at N in {16, 32, 256} -- the large-N case
 // is exactly where the pooled hot paths (payload handles, contiguous diffs,
 // pooled event slots) carry the traffic, so this doubles as an end-to-end
@@ -553,13 +550,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 class TransportScaleSweep : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(TransportScaleSweep, AllFourTransportsAgreeOnChecksumAndIntervalVectors) {
+TEST_P(TransportScaleSweep, AllTransportsAgreeOnChecksumAndIntervalVectors) {
   const std::size_t nodes = GetParam();
   const OrderingAxis ax{SeqMode::Replicated, rse::FlowControl::Chained,
                         rse::policy::PolicyKind::Greedy};
 
   // A leaner workload than the 5-node ordering axis: at N=256 every extra
-  // element multiplies 4 transports x 256 faulting nodes, and the property
+  // element multiplies 3 transports x 256 faulting nodes, and the property
   // being pinned (cross-backend agreement) does not need more pages.
   constexpr std::size_t kElems = 1024;
 
@@ -576,7 +573,6 @@ TEST_P(TransportScaleSweep, AllFourTransportsAgreeOnChecksumAndIntervalVectors) 
     EXPECT_EQ(got.interval_vectors, ref.interval_vectors) << what << " N=" << nodes;
   };
   check(net::TransportKind::ShardedHub, 4, "sharded S=4");
-  check(net::TransportKind::DirectAll, 1, "direct fan-out");
   check(net::TransportKind::TreeMulticast, 1, "event-driven tree");
 }
 

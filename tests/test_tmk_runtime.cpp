@@ -428,8 +428,7 @@ TEST(TmkRuntime, CausalApplyOrderMatchesStableSortOnShuffledTies) {
     cl->run([&](NodeRuntime& rt) {
       std::vector<DiffPacket> pkts;
       for (NodeId o = 1; o <= kOwners; ++o) {
-        rt.apply_notice(make_record(rt.node_count(), o, 1, {{o, 1}, {0, lamport_of[o] - 1}}, page),
-                        /*on_server=*/false);
+        rt.apply_notice(make_record(rt.node_count(), o, 1, {{o, 1}, {0, lamport_of[o] - 1}}, page));
         std::vector<std::size_t> words;
         for (NodeId other = 1; other <= kOwners; ++other) {
           if (other != o) words.push_back(pair_word(std::min(o, other), std::max(o, other)));
@@ -448,7 +447,7 @@ TEST(TmkRuntime, CausalApplyOrderMatchesStableSortOnShuffledTies) {
         return a.seq < b.seq;
       });
       for (const DiffPacket& pkt : ref) expected.push_back(pkt.owner);
-      rt.apply_packets_causally(pkts, /*on_server=*/false);
+      rt.apply_packets_causally(pkts);
       for (std::size_t w = 0; w < kOwners * kOwners; ++w) image.push_back(word_at(rt, page, w));
       EXPECT_EQ(rt.page(page).prot, PageProt::ReadOnly);
       EXPECT_TRUE(rt.pending_pages().empty());
@@ -478,17 +477,52 @@ TEST(TmkRuntime, CausalApplyLandsMergedLazyDiffBeforeItsSuccessor) {
   std::uint32_t word = 0;
   cl->run([&](NodeRuntime& rt) {
     const std::size_t n = rt.node_count();
-    rt.apply_notice(make_record(n, 3, 1, {{3, 1}}, page), /*on_server=*/false);
-    rt.apply_notice(make_record(n, 3, 2, {{3, 2}, {0, 1}}, page), /*on_server=*/false);
-    rt.apply_notice(make_record(n, 2, 1, {{2, 1}, {3, 1}, {0, 1}}, page), /*on_server=*/false);
+    rt.apply_notice(make_record(n, 3, 1, {{3, 1}}, page));
+    rt.apply_notice(make_record(n, 3, 2, {{3, 2}, {0, 1}}, page));
+    rt.apply_notice(make_record(n, 2, 1, {{2, 1}, {3, 1}, {0, 1}}, page));
     const std::size_t pb = rt.config().page_bytes;
     rt.apply_packets_causally({make_packet(pb, 3, page, {1, 2}, 1, {7}, 31),
-                               make_packet(pb, 2, page, {1}, 1, {7}, 21)},
-                              /*on_server=*/false);
+                               make_packet(pb, 2, page, {1}, 1, {7}, 21)});
     word = word_at(rt, page, 7);
     EXPECT_TRUE(rt.pending_pages().empty());
   });
   EXPECT_EQ(word, 21u);
+}
+
+TEST(TmkRuntime, SendOverheadIsComputeOnAppFiberAndServiceOnDispatcher) {
+  // Who pays a send follows from the calling fiber: the application fiber
+  // computes its send overhead, the request server (preempting, as
+  // TreadMarks' SIGIO handler does) services it.  Node 1 answers through a
+  // handler registered on a kind no base-protocol cluster uses.
+  Fixture fx;
+  auto cl = fx.make(2);
+  const std::int64_t overhead = cl->network().config().send_overhead.ns;
+  constexpr std::uint64_t kReq = 7;
+  std::int64_t server_busy = -1;
+  std::int64_t server_service = -1;
+  cl->protocol().on(MsgKind::ValidNotices, [&](NodeRuntime& rt, const net::Message& msg) {
+    const sim::SimDuration busy = rt.cpu().busy_time();
+    const sim::SimDuration service = rt.cpu().service_time();
+    rt.send_unicast(MsgKind::BcastAck, msg.src, BcastAckP{kReq});
+    server_busy = (rt.cpu().busy_time() - busy).ns;
+    server_service = (rt.cpu().service_time() - service).ns;
+  });
+  std::int64_t app_busy = -1;
+  std::int64_t app_service = -1;
+  cl->run([&](NodeRuntime& rt) {
+    auto& replies = rt.expect_replies(kReq);
+    const sim::SimDuration busy = rt.cpu().busy_time();
+    const sim::SimDuration service = rt.cpu().service_time();
+    rt.send_unicast(MsgKind::ValidNotices, 1, ValidNoticesP{});
+    app_busy = (rt.cpu().busy_time() - busy).ns;
+    app_service = (rt.cpu().service_time() - service).ns;
+    (void)replies.pop();
+    rt.drop_reply_slot(kReq);
+  });
+  EXPECT_EQ(app_busy, overhead);
+  EXPECT_EQ(app_service, 0);
+  EXPECT_EQ(server_busy, 0);
+  EXPECT_EQ(server_service, overhead);
 }
 
 // Parameterized consistency sweep: random access schedules over varying node
