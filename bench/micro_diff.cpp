@@ -1,7 +1,8 @@
 // Micro-benchmarks: twin/diff machinery -- creation, application and wire
-// sizing across modification densities, plus the twin page copy.  These
-// operations sit on the critical path of every fault, so their per-op cost
-// and (post-pooling) allocation counts are tracked here; see
+// sizing across modification densities, the twin page copy and diff packet
+// copies -- plus the shared-access barrier fast path.  These operations sit
+// on the critical path of every fault and every shared access, so their
+// per-op cost and (post-pooling) allocation counts are tracked here; see
 // docs/ARCHITECTURE.md "Simulator performance" for recorded before/after
 // numbers.
 #include <cstring>
@@ -11,13 +12,19 @@
 
 #include "micro_runner.hpp"
 #include "sim/rng.hpp"
+#include "tmk/access.hpp"
 #include "tmk/diff.hpp"
+#include "tmk/protocol.hpp"
+#include "tmk/runtime.hpp"
 #include "util/pool_ptr.hpp"
 
 namespace {
 
 using repseq::sim::Rng;
 using repseq::tmk::Diff;
+using repseq::tmk::DiffPacket;
+using repseq::tmk::RegisteredDiff;
+using repseq::tmk::RegisteredDiffPtr;
 using namespace repseq::microbench;
 
 constexpr std::size_t kPage = 4096;
@@ -79,13 +86,49 @@ int main() {
   }
 
   {
-    // The pooled diff handle cycle: allocate a Diff in a pooled block, copy
+    // The pooled registration cycle: register a Diff in a pooled block, copy
     // the handle (non-atomic count) and drop everything (block recycled).
     const auto [twin, cur] = make_pair_with_density(10, 45);
     bench("diff_pooled_handle_cycle", [&twin = twin, &cur = cur] {
-      repseq::tmk::DiffPtr p = repseq::util::make_pooled<Diff>(Diff::create(twin, cur));
-      repseq::tmk::DiffPtr q = p;
+      RegisteredDiffPtr p = repseq::util::make_pooled<RegisteredDiff>(
+          RegisteredDiff{1, {1}, Diff::create(twin, cur)});
+      RegisteredDiffPtr q = p;
       do_not_optimize(q);
+    });
+  }
+
+  {
+    // Copying a packet of a merged lazy diff (three covered intervals), as
+    // every multicast receiver does when it stages a frame: one count bump.
+    const auto [twin, cur] = make_pair_with_density(10, 46);
+    const DiffPacket pkt{1, 2,
+                         repseq::util::make_pooled<RegisteredDiff>(
+                             RegisteredDiff{1, {1, 2, 3}, Diff::create(twin, cur)})};
+    bench("diff_packet_copy", [&pkt] {
+      DiffPacket copy = pkt;
+      do_not_optimize(copy);
+    });
+  }
+
+  {
+    // The access barriers' inline fast path on one node: loads of a valid
+    // page and stores to a page already dirty in the open interval (the
+    // first store twins it).  Each op is a barrier plus the local access.
+    repseq::tmk::TmkConfig cfg;
+    cfg.heap_bytes = 1u << 20;
+    repseq::tmk::Cluster cl(cfg, repseq::net::NetConfig{}, 1);
+    const auto arr = repseq::tmk::ShArray<std::uint32_t>::alloc(cl, 1024, /*page_aligned=*/true);
+    cl.run([&arr](repseq::tmk::NodeRuntime&) {
+      std::size_t i = 0;
+      bench("access/load-valid", [&] {
+        do_not_optimize(arr.load(i));
+        i = (i + 1) & 1023;
+      });
+      arr.store(0, 1);
+      bench("access/store-dirty", [&] {
+        arr.store(i, static_cast<std::uint32_t>(i));
+        i = (i + 1) & 1023;
+      });
     });
   }
   return 0;

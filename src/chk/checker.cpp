@@ -382,14 +382,14 @@ void Checker::coverage_check(tmk::NodeRuntime& rt, tmk::PageId page) {
 void Checker::on_diff_apply(tmk::NodeRuntime& rt, const tmk::DiffPacket& pkt) {
   if (!protocol()) return;
   std::uint32_t newest = 0;
-  for (std::uint32_t i : pkt.covers) {
+  for (std::uint32_t i : pkt.covers()) {
     if (i <= rt.log().known(pkt.owner)) newest = std::max(newest, i);
   }
   if (newest == 0) return;
   const tmk::VectorClock& cover_vc = rt.log().get(pkt.owner, newest).vc;
   for (const tmk::IntervalRecordPtr& r : rt.page(pkt.page).pending) {
     if (r->owner == pkt.owner &&
-        std::find(pkt.covers.begin(), pkt.covers.end(), r->index) != pkt.covers.end()) {
+        std::find(pkt.covers().begin(), pkt.covers().end(), r->index) != pkt.covers().end()) {
       continue;  // satisfied by this very packet
     }
     // The covering interval's clock knowing the pending interval means the

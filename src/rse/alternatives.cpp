@@ -31,7 +31,7 @@ void broadcast_section_updates(tmk::NodeRuntime& master, const tmk::VectorClock&
     for (tmk::PageId p : rec.pages) {
       for (tmk::DiffPacket& pkt : master.collect_diffs(p, {i})) {
         const bool dup = std::any_of(packets.begin(), packets.end(), [&](const auto& q) {
-          return q.diff == pkt.diff && q.page == pkt.page;
+          return q.reg == pkt.reg && q.page == pkt.page;
         });
         if (!dup) packets.push_back(std::move(pkt));
       }

@@ -169,7 +169,7 @@ void RseController::exit(tmk::NodeRuntime& rt) {
   // Frames of rounds that never completed (watchdog-abandoned; the page was
   // then validated by recovery's own complete batch) must not survive into
   // the next section, whose pending sets they say nothing about.
-  st.staged.clear();
+  while (!st.staged.empty()) st.recycle(st.unstage(0));
   rt.set_in_replicated_section(false);
 
   // "At the fork at the end of a sequential section, threads wait until all
@@ -511,35 +511,64 @@ void RseController::apply_mcast_packets(tmk::NodeRuntime& rt,
   NodeState& st = state_[rt.id()];
   for (const tmk::DiffPacket& pkt : pkts) {
     const auto& pending = rt.page(pkt.page).pending;
+    std::size_t at = 0;
+    while (at < st.staged.size() && st.staged[at].page != pkt.page) ++at;
     // Never touch a page this node already holds valid: its replicated
     // writes may have moved it past the pre-section image these diffs carry.
     if (pending.empty()) {
-      st.staged.erase(pkt.page);  // the pull path validated it first
+      if (at < st.staged.size()) st.recycle(st.unstage(at));  // the pull path validated it first
       continue;
     }
-    auto [it, inserted] = st.staged.try_emplace(pkt.page);
-    NodeState::StagedPage& sp = it->second;
-    if (inserted) {
-      sp.needed.reserve(pending.size());
-      for (const tmk::IntervalRecordPtr& r : pending) sp.needed.emplace_back(r->owner, r->index);
-      std::sort(sp.needed.begin(), sp.needed.end());
+    if (at == st.staged.size()) {
+      NodeState::StagedPage& fresh = st.stage(pkt.page);
+      fresh.needed.reserve(pending.size());
+      for (const tmk::IntervalRecordPtr& r : pending) fresh.needed.emplace_back(r->owner, r->index);
+      std::sort(fresh.needed.begin(), fresh.needed.end());
     }
-    const std::pair<net::NodeId, std::uint64_t> key{pkt.owner, pkt.seq};
+    NodeState::StagedPage& sp = st.staged[at];
+    const std::pair<net::NodeId, std::uint64_t> key{pkt.owner, pkt.seq()};
     const auto sit = std::lower_bound(sp.seen.begin(), sp.seen.end(), key);
     if (sit != sp.seen.end() && *sit == key) continue;  // duplicate frame
     sp.seen.insert(sit, key);
     sp.frames.push_back(pkt);
-    for (std::uint32_t i : pkt.covers) {
+    for (std::uint32_t i : pkt.covers()) {
       const std::pair<net::NodeId, std::uint32_t> notice{pkt.owner, i};
       const auto nit = std::lower_bound(sp.needed.begin(), sp.needed.end(), notice);
       if (nit != sp.needed.end() && *nit == notice) sp.needed.erase(nit);
     }
     if (sp.needed.empty()) {
-      std::vector<tmk::DiffPacket> batch = std::move(sp.frames);
-      st.staged.erase(it);
-      rt.apply_packets_causally(std::move(batch));
+      // The batch stays out of `staged` while it applies: the apply charge
+      // can yield to a fiber that stages (or finishes) other pages.
+      NodeState::StagedPage batch = st.unstage(at);
+      rt.apply_packets_causally(batch.frames);
+      st.recycle(std::move(batch));
     }
   }
+}
+
+RseController::NodeState::StagedPage& RseController::NodeState::stage(tmk::PageId page) {
+  if (staged_spare.empty()) {
+    staged.emplace_back();
+  } else {
+    staged.push_back(std::move(staged_spare.back()));
+    staged_spare.pop_back();
+  }
+  staged.back().page = page;
+  return staged.back();
+}
+
+RseController::NodeState::StagedPage RseController::NodeState::unstage(std::size_t i) {
+  StagedPage sp = std::move(staged[i]);
+  if (i + 1 != staged.size()) staged[i] = std::move(staged.back());
+  staged.pop_back();
+  return sp;
+}
+
+void RseController::NodeState::recycle(StagedPage sp) {
+  sp.frames.clear();
+  sp.needed.clear();
+  sp.seen.clear();
+  staged_spare.push_back(std::move(sp));
 }
 
 void RseController::register_handlers(tmk::ProtocolEngine& engine) {

@@ -135,11 +135,25 @@ class RseController final : public tmk::RseHooks {
     /// turn quadratic per round per receiver (measured 1.3x on the ilink
     /// sweep).
     struct StagedPage {
+      tmk::PageId page = 0;
       std::vector<tmk::DiffPacket> frames;
       std::vector<std::pair<net::NodeId, std::uint32_t>> needed;
       std::vector<std::pair<net::NodeId, std::uint64_t>> seen;
     };
-    std::map<tmk::PageId, StagedPage> staged;
+    /// The pages being staged, unordered: one per round in flight, plus
+    /// the rare page a watchdog-abandoned round left incomplete.  Every
+    /// node stages every multicast frame, so the entries are recycled
+    /// through `staged_spare`, whose vectors keep their capacity, instead
+    /// of being allocated per page per round.
+    std::vector<StagedPage> staged;
+    std::vector<StagedPage> staged_spare;
+
+    /// Starts staging `page` in a recycled entry.
+    StagedPage& stage(tmk::PageId page);
+    /// Moves staged entry `i` out of `staged`.
+    StagedPage unstage(std::size_t i);
+    /// Returns an entry's storage to `staged_spare`.
+    void recycle(StagedPage sp);
 
     // ---- master-only state ----
     std::vector<MasterShard> shards;  // per-shard round tables (node 0 only)

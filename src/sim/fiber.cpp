@@ -6,14 +6,12 @@
 
 namespace repseq::sim {
 
-namespace {
-// The fiber being switched into; set immediately before the context switch
-// so the trampoline can find its Fiber object.  Single-threaded by design.
-thread_local Fiber* g_current = nullptr;
 #if !REPSEQ_FIBER_FAST_SWITCH
+namespace {
+// The fiber being started; makecontext cannot pass it a pointer argument.
 thread_local Fiber* g_trampoline_arg = nullptr;
-#endif
 }  // namespace
+#endif
 
 #if REPSEQ_FIBER_FAST_SWITCH
 
@@ -130,36 +128,34 @@ Fiber::~Fiber() {
 #endif
 }
 
-Fiber* Fiber::current() { return g_current; }
-
 #if REPSEQ_FIBER_FAST_SWITCH
 
 void Fiber::resume() {
-  REPSEQ_CHECK(g_current == nullptr, "resume() must be called from the engine context");
+  REPSEQ_CHECK(current_ == nullptr, "resume() must be called from the engine context");
   REPSEQ_CHECK(!finished_, "cannot resume a finished fiber: " + name_);
   if (!started_) {
     started_ = true;
     init_context();
   }
-  g_current = this;
+  current_ = this;
 #if REPSEQ_FIBER_TSAN
   if (tsan_fiber_ == nullptr) tsan_fiber_ = __tsan_create_fiber(0);
   tsan_return_fiber_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
   repseq_ctx_swap(&return_sp_, switch_sp_);
-  g_current = nullptr;
+  current_ = nullptr;
 }
 
 void Fiber::yield() {
-  Fiber* self = g_current;
+  Fiber* self = current_;
   REPSEQ_CHECK(self != nullptr, "yield() must be called from inside a fiber");
-  g_current = nullptr;
+  current_ = nullptr;
 #if REPSEQ_FIBER_TSAN
   __tsan_switch_to_fiber(self->tsan_return_fiber_, 0);
 #endif
   repseq_ctx_swap(&self->switch_sp_, self->return_sp_);
-  g_current = self;
+  current_ = self;
 }
 
 #else  // !REPSEQ_FIBER_FAST_SWITCH
@@ -180,7 +176,7 @@ void Fiber::trampoline() {
 }
 
 void Fiber::resume() {
-  REPSEQ_CHECK(g_current == nullptr, "resume() must be called from the engine context");
+  REPSEQ_CHECK(current_ == nullptr, "resume() must be called from the engine context");
   REPSEQ_CHECK(!finished_, "cannot resume a finished fiber: " + name_);
   if (!started_) {
     started_ = true;
@@ -191,25 +187,25 @@ void Fiber::resume() {
     g_trampoline_arg = this;
     makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
   }
-  g_current = this;
+  current_ = this;
 #if REPSEQ_FIBER_TSAN
   if (tsan_fiber_ == nullptr) tsan_fiber_ = __tsan_create_fiber(0);
   tsan_return_fiber_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
   REPSEQ_CHECK(swapcontext(&return_context_, &context_) == 0, "swapcontext failed");
-  g_current = nullptr;
+  current_ = nullptr;
 }
 
 void Fiber::yield() {
-  Fiber* self = g_current;
+  Fiber* self = current_;
   REPSEQ_CHECK(self != nullptr, "yield() must be called from inside a fiber");
-  g_current = nullptr;
+  current_ = nullptr;
 #if REPSEQ_FIBER_TSAN
   __tsan_switch_to_fiber(self->tsan_return_fiber_, 0);
 #endif
   REPSEQ_CHECK(swapcontext(&self->context_, &self->return_context_) == 0, "swapcontext failed");
-  g_current = self;
+  current_ = self;
 }
 
 #endif  // REPSEQ_FIBER_FAST_SWITCH

@@ -71,7 +71,8 @@ class Fiber {
   static void yield();
 
   /// The fiber currently executing, or nullptr when on the engine context.
-  static Fiber* current();
+  /// Inline: every shared-memory access asks for it (Cluster::current).
+  static Fiber* current() { return current_; }
 
   [[nodiscard]] bool finished() const { return finished_; }
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -123,6 +124,11 @@ class Fiber {
   std::exception_ptr failure_{};
   void* user_data_ = nullptr;
   std::int32_t trace_pid_ = 0;
+
+  // The fiber being switched into; set immediately before the context
+  // switch so the trampoline can find its Fiber object.  Single-threaded by
+  // design; constinit lets inline readers skip the TLS init wrapper.
+  static inline constinit thread_local Fiber* current_ = nullptr;
 };
 
 }  // namespace repseq::sim

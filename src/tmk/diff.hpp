@@ -18,8 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "util/pool_ptr.hpp"
-
 namespace repseq::tmk {
 
 class Diff {
@@ -96,7 +94,5 @@ class Diff {
   std::vector<RunHeader> headers_;
   std::vector<std::uint32_t> words_;
 };
-
-using DiffPtr = util::PoolPtr<const Diff>;
 
 }  // namespace repseq::tmk

@@ -29,6 +29,18 @@ struct IntervalRecord {
   [[nodiscard]] std::size_t wire_bytes() const {
     return 8 + vc.wire_bytes() + 4 * pages.size();
   }
+
+  /// The Lamport projection of `vc` (VectorClock::lamport_sum), computed at
+  /// first use and cached: records are immutable once published, and the
+  /// causal apply keys every packet of every batch on it.
+  [[nodiscard]] std::uint64_t lamport() const {
+    if (lamport_ == 0) lamport_ = vc.lamport_sum();
+    return lamport_;
+  }
+
+ private:
+  // 0 = not computed yet; a published record's own entry is at least 1.
+  mutable std::uint64_t lamport_ = 0;
 };
 
 /// Pool-backed, non-atomically counted: records fan out to every node

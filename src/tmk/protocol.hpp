@@ -14,6 +14,7 @@
 #include "tmk/diff.hpp"
 #include "tmk/interval.hpp"
 #include "tmk/vector_clock.hpp"
+#include "util/pool_ptr.hpp"
 
 namespace repseq::tmk {
 
@@ -46,26 +47,39 @@ enum class MsgKind : std::uint32_t {
   RseRoundTick,      // master-local timer: force round progression on loss
 };
 
-/// One diff and the write-notice intervals of (owner, page) it satisfies.
-/// Lazy diff creation can merge several intervals into one diff, so `covers`
-/// may list more than one index (paper Section 5.1).
-///
-/// `covers` is always the diff's FULL registration (every interval it was
-/// frozen for), not just the intervals a particular requester asked about.
-/// Receivers use min(covers) against their per-page validity clock to
-/// recognize a batch they have already applied: re-applying a frozen batch
-/// after newer writes landed would resurrect stale data.
-struct DiffPacket {
-  NodeId owner = 0;
-  PageId page = 0;
-  std::vector<std::uint32_t> covers;
-  DiffPtr diff;
+/// A diff frozen at flush time together with its full registration: every
+/// interval of (owner, page) it backs.  Lazy diff creation can merge several
+/// intervals into one diff, so `covers` may list more than one index (paper
+/// Section 5.1).  The owner registers it once and every reply shares it.
+struct RegisteredDiff {
   /// Creation sequence at the owner; orders multiple diffs registered under
   /// the same interval (early flushes of a still-open interval).
   std::uint64_t seq = 0;
+  std::vector<std::uint32_t> covers;
+  Diff diff;
+};
+
+using RegisteredDiffPtr = util::PoolPtr<const RegisteredDiff>;
+
+/// One registered diff on the wire.  Copying a packet copies a handle: the
+/// covers and the diff stay in the owner's registration.
+///
+/// `covers()` is always the diff's FULL registration, not just the intervals
+/// a particular requester asked about.  Receivers use min(covers) against
+/// their per-page validity clock to recognize a batch they have already
+/// applied: re-applying a frozen batch after newer writes landed would
+/// resurrect stale data.
+struct DiffPacket {
+  NodeId owner = 0;
+  PageId page = 0;
+  RegisteredDiffPtr reg;
+
+  [[nodiscard]] const std::vector<std::uint32_t>& covers() const { return reg->covers; }
+  [[nodiscard]] const Diff& diff() const { return reg->diff; }
+  [[nodiscard]] std::uint64_t seq() const { return reg->seq; }
 
   [[nodiscard]] std::size_t wire_bytes() const {
-    return diff->wire_bytes() + 4 * covers.size();
+    return reg->diff.wire_bytes() + 4 * reg->covers.size();
   }
 };
 

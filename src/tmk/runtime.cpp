@@ -1,6 +1,7 @@
 #include "tmk/runtime.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <set>
 #include <tuple>
@@ -27,6 +28,7 @@ NodeRuntime::NodeRuntime(Cluster& cluster, NodeId id)
       cpu_(cluster.engine(), cluster.config().compute_quantum),
       mem_(cluster.config().heap_bytes),
       pages_(cluster.config().heap_bytes / cluster.config().page_bytes),
+      page_shift_(static_cast<unsigned>(std::countr_zero(cluster.config().page_bytes))),
       vc_(cluster.node_count()),
       log_(cluster.node_count()),
       fork_ch_(cluster.engine()),
@@ -102,7 +104,7 @@ bool NodeRuntime::on_dispatcher() const {
 // Access barriers
 // ---------------------------------------------------------------------------
 
-void NodeRuntime::read_barrier(GAddr addr, std::size_t bytes) {
+void NodeRuntime::read_barrier_slow(GAddr addr, std::size_t bytes) {
   REPSEQ_CHECK(!addr.is_null(), "read through null shared address");
   if (chk_ != nullptr) [[unlikely]] chk_->on_access(*this, addr, bytes, /*write=*/false);
   const std::size_t pb = config().page_bytes;
@@ -119,7 +121,7 @@ void NodeRuntime::read_barrier(GAddr addr, std::size_t bytes) {
   }
 }
 
-void NodeRuntime::write_barrier(GAddr addr, std::size_t bytes) {
+void NodeRuntime::write_barrier_slow(GAddr addr, std::size_t bytes) {
   REPSEQ_CHECK(!addr.is_null(), "write through null shared address");
   if (chk_ != nullptr) [[unlikely]] chk_->on_access(*this, addr, bytes, /*write=*/true);
   const std::size_t pb = config().page_bytes;
@@ -234,8 +236,8 @@ void NodeRuntime::end_interval() {
       // was written afterwards.  The interval's modifications already
       // travelled inside the flushed diff under its closed covers; register
       // an empty diff so requests for this interval are answerable.
-      own_diffs_[{p, idx}].push_back(util::make_pooled<RegisteredDiff>(RegisteredDiff{
-          next_diff_seq_++, {idx}, util::make_pooled<Diff>()}));
+      own_diffs_[{p, idx}].push_back(
+          util::make_pooled<RegisteredDiff>(RegisteredDiff{next_diff_seq_++, {idx}, Diff{}}));
     }
   }
   current_dirty_.clear();
@@ -281,13 +283,13 @@ void NodeRuntime::flush_diff(PageId p) {
   // fiber taking a notice); the diff then exists already.
   if (!ps.has_twin()) return;
 
-  DiffPtr diff = util::make_pooled<Diff>(Diff::create({ps.twin.get(), pb}, page_span(p)));
+  Diff diff = Diff::create({ps.twin.get(), pb}, page_span(p));
 
   if (obs::enabled(obs::Cat::Tmk)) [[unlikely]] {
     obs::tracer().instant(obs::Cat::Tmk, cluster_.engine().now(),
                           static_cast<std::int32_t>(id_) + 1, "tmk", "diff-create",
                           {{"page", static_cast<double>(p)},
-                           {"wire_bytes", static_cast<double>(diff->wire_bytes())},
+                           {"wire_bytes", static_cast<double>(diff.wire_bytes())},
                            {"on_server", on_dispatcher() ? 1.0 : 0.0}});
   }
   // Coverage rule.  The diff carries every modification since the twin was
@@ -307,8 +309,8 @@ void NodeRuntime::flush_diff(PageId p) {
   }
   REPSEQ_CHECK(!covers.empty(), "twin with no covered intervals");
   auto rd = util::make_pooled<RegisteredDiff>(
-      RegisteredDiff{next_diff_seq_++, covers, std::move(diff)});
-  for (std::uint32_t i : covers) {
+      RegisteredDiff{next_diff_seq_++, std::move(covers), std::move(diff)});
+  for (std::uint32_t i : rd->covers) {
     own_diffs_[{p, i}].push_back(rd);
   }
   ps.open_intervals.clear();
@@ -332,35 +334,37 @@ std::vector<DiffPacket> NodeRuntime::collect_diffs(PageId page,
         });
     if (twin_covers_request) flush_diff(page);
   }
-  // Answer each registered batch once, carrying its FULL covers so the
-  // receiver can recognize batches it has already applied.
-  std::map<const RegisteredDiff*, RegisteredDiffPtr> unique;
+  // Answer each registered batch once, in creation (seq) order, carrying
+  // its FULL covers so the receiver can recognize batches it has already
+  // applied.  Nothing below yields, so the scratch list stays ours.
+  std::vector<const RegisteredDiffPtr*>& regs = collect_regs_;
+  regs.clear();
   for (std::uint32_t i : intervals) {
     auto it = own_diffs_.find({page, i});
     REPSEQ_CHECK(it != own_diffs_.end(),
                  "diff requested for unknown interval " + std::to_string(i) + " of page " +
                      std::to_string(page));
-    for (const RegisteredDiffPtr& rd : it->second) {
-      unique.emplace(rd.get(), rd);
-    }
+    for (const RegisteredDiffPtr& rd : it->second) regs.push_back(&rd);
   }
+  std::sort(regs.begin(), regs.end(), [](const RegisteredDiffPtr* a, const RegisteredDiffPtr* b) {
+    return (*a)->seq < (*b)->seq;
+  });
+  // A merged diff is registered under every interval it covers.
+  regs.erase(std::unique(regs.begin(), regs.end(),
+                         [](const RegisteredDiffPtr* a, const RegisteredDiffPtr* b) {
+                           return *a == *b;
+                         }),
+             regs.end());
   std::vector<DiffPacket> out;
-  out.reserve(unique.size());
-  for (const auto& [_, rd] : unique) {
-    DiffPacket pkt;
-    pkt.owner = id_;
-    pkt.page = page;
-    pkt.covers = rd->covers;
-    pkt.diff = rd->diff;
-    pkt.seq = rd->seq;
-    out.push_back(std::move(pkt));
-  }
+  out.reserve(regs.size());
+  for (const RegisteredDiffPtr* rd : regs) out.push_back(DiffPacket{id_, page, *rd});
   return out;
 }
 
 void NodeRuntime::apply_packet(const DiffPacket& pkt) {
   PageState& ps = pages_[pkt.page];
-  const std::uint32_t oldest = *std::min_element(pkt.covers.begin(), pkt.covers.end());
+  const std::vector<std::uint32_t>& covers = pkt.covers();
+  const std::uint32_t oldest = *std::min_element(covers.begin(), covers.end());
   // Batch guard: if this copy's validity already reaches the batch's oldest
   // interval, this exact frozen batch was applied here before.  Re-applying
   // it would overwrite every write that landed since (local writes and other
@@ -369,11 +373,11 @@ void NodeRuntime::apply_packet(const DiffPacket& pkt) {
   const bool already_applied = ps.valid_vc.at(pkt.owner) >= oldest;
   if (chk_ != nullptr && !already_applied) [[unlikely]] chk_->on_diff_apply(*this, pkt);
   if (!already_applied) {
-    pkt.diff->apply(page_span(pkt.page));
+    pkt.diff().apply(page_span(pkt.page));
   }
   const bool had_pending = !ps.pending.empty();
   std::uint32_t newest = 0;
-  for (std::uint32_t i : pkt.covers) {
+  for (std::uint32_t i : covers) {
     newest = std::max(newest, i);
     auto it = std::find_if(ps.pending.begin(), ps.pending.end(),
                            [&](const IntervalRecordPtr& r) {
@@ -428,7 +432,7 @@ void NodeRuntime::repair_merged_diff_order(std::vector<ApplyKey>& keys) {
   }
 }
 
-void NodeRuntime::apply_packets_causally(std::vector<DiffPacket> pkts) {
+void NodeRuntime::apply_packets_causally(std::span<const DiffPacket> pkts) {
   // The scratch buffers are moved out for the call: the cost charge below
   // can yield to another fiber that applies a batch of its own.
   std::vector<ApplyKey> keys = std::move(apply_keys_);
@@ -441,7 +445,7 @@ void NodeRuntime::apply_packets_causally(std::vector<DiffPacket> pkts) {
   // computed once; ties break on (owner, seq, batch position), so the order
   // is that of a stable sort on (lamport, owner, seq).
   if (pkts.size() == 1) {  // a lone packet needs no key
-    keys.push_back({0, pkts[0].seq, pkts[0].owner, 0, pkts[0].page, 0, 0, nullptr});
+    keys.push_back({0, pkts[0].seq(), pkts[0].owner, 0, pkts[0].page, 0, 0, nullptr});
   } else {
     for (std::uint32_t pos = 0; pos < pkts.size(); ++pos) {
       const DiffPacket& pkt = pkts[pos];
@@ -450,13 +454,14 @@ void NodeRuntime::apply_packets_causally(std::vector<DiffPacket> pkts) {
       // the newest cover we know about.
       std::uint32_t newest = 0;
       std::uint32_t oldest = 0xFFFFFFFFu;
-      for (std::uint32_t i : pkt.covers) {
+      for (std::uint32_t i : pkt.covers()) {
         if (i <= log_.known(pkt.owner)) newest = std::max(newest, i);
         oldest = std::min(oldest, i);
       }
       REPSEQ_CHECK(newest > 0, "diff batch with no locally-known cover");
-      const VectorClock& vc = log_.get(pkt.owner, newest).vc;
-      keys.push_back({vc.lamport_sum(), pkt.seq, pkt.owner, pos, pkt.page, oldest, newest, &vc});
+      const IntervalRecord& rec = log_.get(pkt.owner, newest);
+      keys.push_back(
+          {rec.lamport(), pkt.seq(), pkt.owner, pos, pkt.page, oldest, newest, &rec.vc});
     }
     std::sort(keys.begin(), keys.end(), [](const ApplyKey& a, const ApplyKey& b) {
       return std::tie(a.lamport, a.owner, a.seq, a.pos) <
@@ -587,7 +592,7 @@ void NodeRuntime::fault_in_page(PageId p) {
       for (const DiffPacket& pkt : reply.packets) collected.push_back(pkt);
     }
     drop_reply_slot(req_id);
-    apply_packets_causally(std::move(collected));
+    apply_packets_causally(collected);
   }
   if (obs::enabled(obs::Cat::Tmk)) [[unlikely]] {
     obs::tracer().end(obs::Cat::Tmk, cluster_.engine().now(),
@@ -975,7 +980,7 @@ void NodeRuntime::register_base_protocol(ProtocolEngine& engine) {
     std::map<PageId, std::set<std::pair<NodeId, std::uint32_t>>> covered;
     for (const DiffPacket& pkt : u.packets) {
       auto& c = covered[pkt.page];
-      for (std::uint32_t i : pkt.covers) c.emplace(pkt.owner, i);
+      for (std::uint32_t i : pkt.covers()) c.emplace(pkt.owner, i);
     }
     std::map<PageId, bool> page_complete;
     for (const auto& [page, c] : covered) {
@@ -989,7 +994,7 @@ void NodeRuntime::register_base_protocol(ProtocolEngine& engine) {
     for (const DiffPacket& pkt : u.packets) {
       if (page_complete[pkt.page]) complete.push_back(pkt);
     }
-    if (!complete.empty()) rt.apply_packets_causally(std::move(complete));
+    if (!complete.empty()) rt.apply_packets_causally(complete);
     rt.send_unicast(MsgKind::BcastAck, msg.src, BcastAckP{u.req_id});
   });
   engine.on(MsgKind::BcastAck, [](NodeRuntime& rt, const net::Message& msg) {
@@ -1011,6 +1016,8 @@ void NodeRuntime::handle_diff_request(const net::Message& msg) {
 Cluster::Cluster(TmkConfig cfg, net::NetConfig net_cfg, std::size_t nodes)
     : cfg_(cfg), node_count_(nodes), heap_(cfg.heap_bytes) {
   REPSEQ_CHECK(nodes >= 1, "cluster needs at least one node");
+  // The access fast path finds a page with a shift (NodeRuntime::page_shift_).
+  REPSEQ_CHECK(std::has_single_bit(cfg_.page_bytes), "page_bytes must be a power of two");
   REPSEQ_CHECK(cfg_.heap_bytes % cfg_.page_bytes == 0, "heap must be whole pages");
   NodeRuntime::register_base_protocol(protocol_);
   network_ = std::make_unique<net::Network>(engine_, net_cfg, nodes);
@@ -1064,13 +1071,6 @@ std::uint64_t Cluster::register_work(std::function<void(NodeRuntime&)> fn) {
 const std::function<void(NodeRuntime&)>& Cluster::work(std::uint64_t id) const {
   REPSEQ_CHECK(id < work_table_.size(), "unknown work id");
   return work_table_[id];
-}
-
-NodeRuntime& Cluster::current() {
-  sim::Fiber* f = sim::Fiber::current();
-  REPSEQ_CHECK(f != nullptr && f->user_data() != nullptr,
-               "Cluster::current() outside a node fiber");
-  return *static_cast<NodeRuntime*>(f->user_data());
 }
 
 sim::SimDuration Cluster::run(std::function<void(NodeRuntime&)> master_program) {

@@ -30,6 +30,7 @@
 #include "sim/channel.hpp"
 #include "sim/cpu.hpp"
 #include "sim/engine.hpp"
+#include "sim/fiber.hpp"
 #include "tmk/config.hpp"
 #include "tmk/gaddr.hpp"
 #include "tmk/interval.hpp"
@@ -39,6 +40,7 @@
 #include "tmk/shared_heap.hpp"
 #include "tmk/stats.hpp"
 #include "tmk/vector_clock.hpp"
+#include "util/check.hpp"
 #include "util/lazy_bytes.hpp"
 
 namespace repseq::chk {
@@ -82,10 +84,32 @@ class NodeRuntime {
 
   // ---- instrumented access layer (called by ShArray & friends) ----
 
+  // Both barriers are inline fast paths that return at once when the access
+  // lies on one page, the checker is off and the page needs no protocol
+  // action; everything else takes the out-of-line *_slow path.  A replicated
+  // section runs every shared access on all N nodes.
+
   /// Ensures [addr, addr+bytes) is readable; faults in missing diffs.
-  void read_barrier(GAddr addr, std::size_t bytes);
+  void read_barrier(GAddr addr, std::size_t bytes) {
+    REPSEQ_CHECK(!addr.is_null(), "read through null shared address");
+    const PageState* ps = fast_path_page(addr, bytes);
+    if (ps != nullptr && ps->prot != PageProt::Invalid) [[likely]] return;
+    read_barrier_slow(addr, bytes);
+  }
   /// Ensures writability; creates twins / records dirtiness as needed.
-  void write_barrier(GAddr addr, std::size_t bytes);
+  void write_barrier(GAddr addr, std::size_t bytes) {
+    REPSEQ_CHECK(!addr.is_null(), "write through null shared address");
+    const PageState* ps = fast_path_page(addr, bytes);
+    if (ps != nullptr) [[likely]] {
+      if (in_replicated_section_) {
+        if (ps->prot != PageProt::Invalid && !ps->rse_write_protected) return;
+      } else if (ps->prot == PageProt::Writable && ps->dirty_in_current) {
+        REPSEQ_CHECK(ps->has_twin(), "writable page without twin");
+        return;
+      }
+    }
+    write_barrier_slow(addr, bytes);
+  }
   /// Raw pointer into this node's local backing for a shared address.
   template <typename T>
   [[nodiscard]] T* local(GAddr addr) {
@@ -157,7 +181,7 @@ class NodeRuntime {
   /// Sorts packets causally (Lamport projection of the newest covered
   /// interval; merged lazy diffs land before packets that saw their oldest
   /// interval) and applies them all, charging apply costs.
-  void apply_packets_causally(std::vector<DiffPacket> pkts);
+  void apply_packets_causally(std::span<const DiffPacket> pkts);
 
   /// The base-protocol fault path: request diffs from the last writers.
   void fault_in_page(PageId p);
@@ -242,6 +266,18 @@ class NodeRuntime {
   /// Checks that the caller is one of this node's fibers.
   [[nodiscard]] bool on_dispatcher() const;
 
+  /// The page of a one-page access while the checker is off, else nullptr
+  /// (the barriers' fast-path precondition).  `bytes == 0` touches addr's
+  /// page.
+  [[nodiscard]] const PageState* fast_path_page(GAddr addr, std::size_t bytes) const {
+    const std::uint64_t first = addr.off >> page_shift_;
+    const std::uint64_t last = (addr.off + (bytes == 0 ? 0 : bytes - 1)) >> page_shift_;
+    if (first != last || chk_ != nullptr) [[unlikely]] return nullptr;
+    return &pages_[first];
+  }
+  void read_barrier_slow(GAddr addr, std::size_t bytes);
+  void write_barrier_slow(GAddr addr, std::size_t bytes);
+
   // message handlers (dispatcher fiber)
   void handle_message(const net::Message& msg);
   void handle_diff_request(const net::Message& msg);
@@ -285,6 +321,7 @@ class NodeRuntime {
   sim::FiberRef dispatcher_ = nullptr;  // set by Cluster::run
   util::LazyBytes mem_;
   std::vector<PageState> pages_;
+  unsigned page_shift_;  // log2(page_bytes); Cluster checks the power of two
   VectorClock vc_;
   IntervalLog log_;
   std::vector<PageId> current_dirty_;
@@ -308,16 +345,11 @@ class NodeRuntime {
   /// touched.
   std::vector<ApplyKey> apply_keys_;
   std::vector<PageId> apply_pages_;
-  /// A diff frozen at flush time together with its full registration.
-  struct RegisteredDiff {
-    std::uint64_t seq;
-    std::vector<std::uint32_t> covers;  // every interval this diff backs
-    DiffPtr diff;
-  };
-  using RegisteredDiffPtr = util::PoolPtr<const RegisteredDiff>;
   /// Own diffs per (page, interval); the same registration may appear under
   /// several intervals (merged lazy diffs).
   std::map<std::pair<PageId, std::uint32_t>, std::vector<RegisteredDiffPtr>> own_diffs_;
+  /// collect_diffs' scratch: the registrations answering one request.
+  std::vector<const RegisteredDiffPtr*> collect_regs_;
   std::uint64_t next_diff_seq_ = 1;
   std::map<PageId, std::vector<IntervalRecordPtr>> page_notice_index_;
   std::vector<std::unique_ptr<std::byte[]>> twin_pool_;
@@ -399,7 +431,12 @@ class Cluster {
   [[nodiscard]] chk::Checker* checker() const { return checker_.get(); }
 
   /// The runtime owning the calling fiber (application or dispatcher).
-  static NodeRuntime& current();
+  static NodeRuntime& current() {
+    sim::Fiber* f = sim::Fiber::current();
+    REPSEQ_CHECK(f != nullptr && f->user_data() != nullptr,
+                 "Cluster::current() outside a node fiber");
+    return *static_cast<NodeRuntime*>(f->user_data());
+  }
 
  private:
   TmkConfig cfg_;

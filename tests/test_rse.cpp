@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <vector>
 
+#include "chk/checker.hpp"
 #include "ompnow/team.hpp"
 #include "rse/controller.hpp"
 #include "tmk/access.hpp"
@@ -586,6 +588,154 @@ TEST(Rse, SparsePageSetsMatchFullScanUnderRandomTraffic) {
     EXPECT_GT(max_pending, 0u) << "seed " << seed;
     EXPECT_GT(max_twins, 0u) << "seed " << seed;
     EXPECT_GT(protected_seen, 0u) << "seed " << seed;
+  }
+}
+
+// Random reads, writes, barriers and replicated sections on 4 nodes with
+// 1 KB pages, including accesses that straddle two pages and zero-byte
+// accesses.  Returns the cluster's observable state after every step: each
+// node's interval vector, per-page protocol state and page bytes, the values
+// its reads returned, and the engine's event count and clock.  With
+// `chk_mask` 0 the access barriers' inline fast path is live; with a
+// checker every access takes the slow path.
+std::vector<std::vector<std::uint64_t>> random_access_trace(std::uint32_t seed,
+                                                            std::uint8_t chk_mask,
+                                                            std::size_t* protected_seen) {
+  constexpr std::size_t kPageBytes = 1024;
+  constexpr std::size_t kWords = kPageBytes / 4;
+  constexpr std::size_t kPages = 16;
+  chk::ScopedConfig scoped(chk_mask, /*abort_on_violation=*/false);
+  World w(4, SeqMode::Replicated, FlowControl::Chained, [](World& wd) {
+    wd.cfg.page_bytes = kPageBytes;
+    wd.cfg.heap_bytes = 2 * kPages * kPageBytes;
+  });
+  auto data = tmk::ShArray<std::uint32_t>::alloc(*w.cl, kPages * kWords, /*page_aligned=*/true);
+  const tmk::PageId first_page = tmk::page_of(data.base(), kPageBytes);
+  std::mt19937 rng(seed);
+  std::vector<std::uint64_t> read_sums(4, 0);
+  std::vector<std::vector<std::uint64_t>> trace;
+
+  // Thread `tid`'s word of `page` at `step`: never the first or last word,
+  // which only the page pair's straddling accesses touch.
+  auto word = [&](std::size_t page, int step, int tid) {
+    return page * kWords + 1 + static_cast<std::size_t>(step * 4 + tid) % (kWords - 2);
+  };
+  // 8 bytes across the boundary of data pages p and p+1.
+  auto straddle = [&](std::size_t p) { return data.addr_of(p * kWords + kWords - 1); };
+  auto straddle_store = [&](tmk::NodeRuntime& rt, std::size_t p, std::uint64_t v) {
+    rt.write_barrier(straddle(p), sizeof v);
+    std::memcpy(rt.local<std::byte>(straddle(p)), &v, sizeof v);
+  };
+  auto straddle_load = [&](tmk::NodeRuntime& rt, std::size_t p) {
+    rt.read_barrier(straddle(p), 8);
+    std::uint64_t v = 0;
+    std::memcpy(&v, rt.local<const std::byte>(straddle(p)), sizeof v);
+    return v;
+  };
+  auto observe = [&] {
+    std::vector<std::uint64_t> s{w.cl->engine().events_executed(),
+                                 static_cast<std::uint64_t>(w.cl->engine().now().ns)};
+    for (net::NodeId n = 0; n < 4; ++n) {
+      tmk::NodeRuntime& rt = w.cl->node(n);
+      s.push_back(read_sums[n]);
+      for (net::NodeId o = 0; o < 4; ++o) s.push_back(rt.vc().at(o));
+      for (tmk::PageId p = first_page; p < first_page + kPages; ++p) {
+        const tmk::PageState& ps = rt.page(p);
+        s.insert(s.end(), {static_cast<std::uint64_t>(ps.prot), ps.dirty_in_current,
+                           ps.has_twin(), ps.rse_write_protected, ps.pending.size()});
+        for (net::NodeId o = 0; o < 4; ++o) s.push_back(ps.valid_vc.at(o));
+        std::uint64_t h = 14695981039346656037ull;  // FNV-1a over the page bytes
+        for (std::byte b : rt.page_span(p)) h = (h ^ static_cast<std::uint64_t>(b)) * 1099511628211ull;
+        s.push_back(h);
+      }
+    }
+    return s;
+  };
+  auto pick_pages = [&] {
+    std::vector<std::size_t> pages;
+    for (std::size_t p = 0; p < kPages; ++p) {
+      if (rng() % 3 == 0) pages.push_back(p);
+    }
+    return pages;
+  };
+
+  w.cl->run([&](tmk::NodeRuntime&) {
+    for (int step = 0; step < 30; ++step) {
+      const unsigned op = rng() % 4;
+      // Every thread's choices are drawn here, on the master, so section
+      // bodies see one plan and run identically on every replica.
+      std::vector<std::vector<std::size_t>> writes(4);
+      std::vector<std::vector<std::size_t>> reads(4);
+      for (int t = 0; t < 4; ++t) {
+        writes[t] = pick_pages();
+        reads[t] = pick_pages();
+      }
+      const std::size_t touched = rng() % kPages;
+      auto read_pages = [&](const Ctx& ctx, const std::vector<std::size_t>& pages) {
+        std::uint64_t& sum = read_sums[ctx.rt.id()];
+        for (std::size_t p : pages) {
+          sum = sum * 31 + data.load(word(p, step, ctx.tid));
+          if (p + 1 < kPages) sum = sum * 31 + straddle_load(ctx.rt, p);
+        }
+        ctx.rt.read_barrier(data.addr_of(touched * kWords + 3), 0);
+      };
+      if (op == 0 || op == 1) {
+        // Multiple writers on disjoint words; a page pair's boundary words
+        // belong to one thread.  Op 1 adds a barrier and reads.
+        w.team->parallel([&](const Ctx& ctx) {
+          for (std::size_t p : writes[ctx.tid]) {
+            data.store(word(p, step, ctx.tid), static_cast<std::uint32_t>(step * 10 + ctx.tid));
+            if (p % 4 == static_cast<std::size_t>(ctx.tid) && p + 1 < kPages) {
+              straddle_store(ctx.rt, p, static_cast<std::uint64_t>(step) << 32 | p);
+            }
+          }
+          if (touched % 4 == static_cast<std::size_t>(ctx.tid)) {
+            ctx.rt.write_barrier(data.addr_of(touched * kWords), 0);
+          }
+          if (op == 1) {
+            ctx.rt.barrier(7);
+            read_pages(ctx, reads[ctx.tid]);
+          }
+        });
+      } else if (op == 2) {
+        // A replicated section: multicast faults, and write-protection traps
+        // on pages left dirty by earlier regions.
+        w.team->sequential([&](const Ctx& ctx) {
+          for (tmk::PageId p = first_page; p < first_page + kPages; ++p) {
+            if (ctx.rt.page(p).rse_write_protected) ++*protected_seen;
+          }
+          read_pages(ctx, reads[0]);
+          for (std::size_t p : writes[0]) {
+            data.store(word(p, step, 0), static_cast<std::uint32_t>(step));
+            if (p + 1 < kPages) straddle_store(ctx.rt, p, static_cast<std::uint64_t>(step));
+          }
+          ctx.rt.write_barrier(data.addr_of(touched * kWords + 2), 0);
+        });
+      } else {
+        w.team->parallel([&](const Ctx& ctx) { read_pages(ctx, reads[ctx.tid]); });
+      }
+      trace.push_back(observe());
+    }
+  });
+  if (w.cl->checker() != nullptr) {
+    EXPECT_TRUE(w.cl->checker()->violations().empty()) << "seed " << seed;
+  }
+  return trace;
+}
+
+TEST(Rse, AccessFastPathMatchesSlowPathUnderRandomTraffic) {
+  for (std::uint32_t seed = 1; seed <= 6; ++seed) {
+    std::size_t protected_fast = 0;
+    std::size_t protected_slow = 0;
+    const auto fast = random_access_trace(seed, 0, &protected_fast);
+    const auto slow = random_access_trace(seed, chk::kAllCats, &protected_slow);
+    ASSERT_EQ(fast.size(), slow.size());
+    for (std::size_t step = 0; step < fast.size(); ++step) {
+      ASSERT_EQ(fast[step], slow[step]) << "seed " << seed << " step " << step;
+    }
+    // Sections met pages write-protected at entry.
+    EXPECT_GT(protected_fast, 0u) << "seed " << seed;
+    EXPECT_EQ(protected_fast, protected_slow) << "seed " << seed;
   }
 }
 

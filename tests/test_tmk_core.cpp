@@ -1,17 +1,48 @@
-// Unit tests for the passive DSM data structures: diffs, vector clocks,
-// interval logs, the shared heap and page bookkeeping.
+// Unit tests for the passive DSM data structures: diffs, diff packets,
+// vector clocks, interval logs, the shared heap and page bookkeeping.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <vector>
 
 #include "sim/rng.hpp"
 #include "tmk/diff.hpp"
 #include "tmk/gaddr.hpp"
 #include "tmk/interval.hpp"
+#include "tmk/protocol.hpp"
 #include "tmk/shared_heap.hpp"
 #include "tmk/vector_clock.hpp"
+
+// Counts every global allocation in this test binary, so a test can assert
+// that an operation makes none.  The replacement operator new allocates with
+// malloc, so pairing it with free is correct; GCC cannot see that across the
+// replacement.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++g_allocations;
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc{};
+  return p;
+}
+void* operator new(std::size_t n, std::align_val_t al) {
+  ++g_allocations;
+  const auto a = static_cast<std::size_t>(al);
+  void* p = std::aligned_alloc(a, (n + a - 1) & ~(a - 1));
+  if (p == nullptr) throw std::bad_alloc{};
+  return p;
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace repseq::tmk {
 namespace {
@@ -126,6 +157,42 @@ TEST(VectorClock, DominatedByIsPartialOrder) {
   c.set(1, 1);
   EXPECT_FALSE(b.dominated_by(c));
   EXPECT_FALSE(c.dominated_by(b));  // concurrent
+}
+
+TEST(DiffPacket, WireBytesAndCopiesShareTheRegistration) {
+  auto twin = make_page(256, 0);
+  auto cur = twin;
+  cur[8] = std::byte{1};
+  cur[100] = std::byte{2};
+  Diff d = Diff::create(twin, cur);
+  const std::size_t diff_bytes = d.wire_bytes();
+  const DiffPacket pkt{3, 9,
+                       util::make_pooled<RegisteredDiff>(
+                           RegisteredDiff{5, {1, 2, 4}, std::move(d)})};
+  // Each covered interval costs 4 bytes on top of the diff's encoding.
+  EXPECT_EQ(pkt.wire_bytes(), 4 * 3 + diff_bytes);
+
+  const std::size_t before = g_allocations;
+  const DiffPacket copy = pkt;
+  EXPECT_EQ(g_allocations, before) << "copying a packet allocated";
+  const std::vector<std::uint32_t> covers_copy = pkt.covers();  // the counter is live
+  EXPECT_EQ(g_allocations, before + 1);
+  EXPECT_EQ(copy.reg, pkt.reg);
+  EXPECT_EQ(covers_copy, (std::vector<std::uint32_t>{1, 2, 4}));
+  EXPECT_EQ(&copy.covers(), &pkt.covers());
+  EXPECT_EQ(copy.seq(), 5u);
+  EXPECT_EQ(copy.wire_bytes(), pkt.wire_bytes());
+}
+
+TEST(IntervalRecord, CachedLamportKeyIsTheClockSum) {
+  auto rec = util::make_pooled<IntervalRecord>();
+  rec->owner = 1;
+  rec->index = 3;
+  rec->vc = VectorClock(3);
+  rec->vc.set(0, 2);
+  rec->vc.set(1, 3);
+  EXPECT_EQ(rec->lamport(), rec->vc.lamport_sum());
+  EXPECT_EQ(rec->lamport(), 5u);
 }
 
 TEST(VectorClock, LamportSumRespectsHappensBefore) {

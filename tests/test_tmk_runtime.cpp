@@ -28,6 +28,14 @@ struct Fixture {
   }
 };
 
+TEST(TmkRuntime, ClusterRejectsPageSizeThatIsNotAPowerOfTwo) {
+  // The access fast path finds a page by shifting, not dividing.
+  TmkConfig cfg;
+  cfg.page_bytes = 3000;
+  cfg.heap_bytes = 16 * 3000;
+  EXPECT_DEATH(Cluster(cfg, net::NetConfig{}, 2), "page_bytes must be a power of two");
+}
+
 TEST(TmkRuntime, MasterWritesVisibleToSlavesAfterFork) {
   Fixture fx;
   auto cl = fx.make(4);
@@ -393,13 +401,9 @@ DiffPacket make_packet(std::size_t page_bytes, NodeId owner, PageId page,
   std::vector<std::byte> twin(page_bytes);
   std::vector<std::byte> cur(page_bytes);
   for (std::size_t w : words) std::memcpy(cur.data() + 4 * w, &value, 4);
-  DiffPacket pkt;
-  pkt.owner = owner;
-  pkt.page = page;
-  pkt.covers = std::move(covers);
-  pkt.diff = util::make_pooled<Diff>(Diff::create(twin, cur));
-  pkt.seq = seq;
-  return pkt;
+  return DiffPacket{owner, page,
+                    util::make_pooled<RegisteredDiff>(
+                        RegisteredDiff{seq, std::move(covers), Diff::create(twin, cur)})};
 }
 
 std::uint32_t word_at(NodeRuntime& rt, PageId page, std::size_t w) {
@@ -444,7 +448,7 @@ TEST(TmkRuntime, CausalApplyOrderMatchesStableSortOnShuffledTies) {
         const std::uint64_t lb = lamport_of[b.owner];
         if (la != lb) return la < lb;
         if (a.owner != b.owner) return a.owner < b.owner;
-        return a.seq < b.seq;
+        return a.seq() < b.seq();
       });
       for (const DiffPacket& pkt : ref) expected.push_back(pkt.owner);
       rt.apply_packets_causally(pkts);
@@ -481,8 +485,9 @@ TEST(TmkRuntime, CausalApplyLandsMergedLazyDiffBeforeItsSuccessor) {
     rt.apply_notice(make_record(n, 3, 2, {{3, 2}, {0, 1}}, page));
     rt.apply_notice(make_record(n, 2, 1, {{2, 1}, {3, 1}, {0, 1}}, page));
     const std::size_t pb = rt.config().page_bytes;
-    rt.apply_packets_causally({make_packet(pb, 3, page, {1, 2}, 1, {7}, 31),
-                               make_packet(pb, 2, page, {1}, 1, {7}, 21)});
+    const std::vector<DiffPacket> pkts{make_packet(pb, 3, page, {1, 2}, 1, {7}, 31),
+                                       make_packet(pb, 2, page, {1}, 1, {7}, 21)};
+    rt.apply_packets_causally(pkts);
     word = word_at(rt, page, 7);
     EXPECT_TRUE(rt.pending_pages().empty());
   });
