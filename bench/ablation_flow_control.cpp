@@ -3,24 +3,8 @@
 // "allows more concurrency in message delivery", and the strawman with no
 // flow control at all (which overruns receive buffers and falls back to
 // timeout recovery).  An Adaptive row rides along so the table also carries
-// the per-site policy decision telemetry from the metrics registry.
+// the per-site policy decision telemetry.
 #include "bench_common.hpp"
-
-namespace {
-
-/// Formats a RunReport's registry-sourced per-site policy telemetry as
-/// "site:decisions/switches/final ..." ("-" for non-adaptive rows).
-std::string site_policy_cell(const repseq::apps::harness::RunReport& r) {
-  std::string out;
-  for (const auto& sp : r.site_policy) {
-    if (!out.empty()) out += ' ';
-    out += std::to_string(sp.site) + ':' + std::to_string(sp.decisions) + '/' +
-           std::to_string(sp.switches) + '/' + sp.final_strategy;
-  }
-  return out.empty() ? "-" : out;
-}
-
-}  // namespace
 
 int main() {
   using namespace repseq;
@@ -74,7 +58,7 @@ int main() {
               "%.2fs -> %.2fs", chained_seq, windowed_seq);
   std::printf("  (the paper anticipates exactly this: \"strategies ... will substantially\n"
               "   improve our results\", Section 8)\n");
-  std::printf("  site:dec/sw/final is registry-sourced per-site decision telemetry\n"
+  std::printf("  site:dec/sw/final is per-site decision telemetry from the decision log\n"
               "  (sections decided / switch points / settled strategy).\n");
   return shape_exit_code();
 }

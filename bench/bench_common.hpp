@@ -14,6 +14,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -46,7 +47,10 @@ inline long env_long(const char* name, long fallback, long min = 0) {
   return x;
 }
 
-inline std::size_t bench_nodes() { return static_cast<std::size_t>(env_long("NODES", 32)); }
+/// A cluster needs a node: REPSEQ_NODES=0 fails here, not in the library.
+inline std::size_t bench_nodes() {
+  return static_cast<std::size_t>(env_long("NODES", 32, /*min=*/1));
+}
 
 /// The wire backend for a sweep: REPSEQ_TRANSPORT=hub|tree|sharded
 /// overrides the bench's own default, so every sweep can run on any
@@ -114,13 +118,18 @@ inline sim::SimDuration bench_batch_window(sim::SimDuration fallback = {}) {
   return *w;
 }
 
-/// Node counts for the cluster-size sweeps, capped by REPSEQ_NODES so CI
-/// smoke runs can bound their cost (e.g. REPSEQ_NODES=8 keeps {2,4,8}).
-inline std::vector<std::size_t> sweep_node_counts() {
+/// A sweep's node ladder: the rungs up to REPSEQ_NODES (default
+/// `default_cap`), so CI smoke runs can bound their cost (REPSEQ_NODES=8
+/// keeps {2,4,8} of {2,4,...}).  A cap below the first rung keeps that rung.
+inline std::vector<std::size_t> node_ladder(std::initializer_list<std::size_t> rungs,
+                                            std::size_t default_cap) {
+  const auto cap = static_cast<std::size_t>(
+      env_long("NODES", static_cast<long>(default_cap), /*min=*/1));
   std::vector<std::size_t> out;
-  for (std::size_t n : {2, 4, 8, 16, 24, 32}) {
-    if (n <= std::max<std::size_t>(2, bench_nodes())) out.push_back(n);
+  for (std::size_t n : rungs) {
+    if (n <= cap) out.push_back(n);
   }
+  if (out.empty()) out.push_back(*rungs.begin());
   return out;
 }
 
@@ -134,16 +143,16 @@ inline net::NetConfig bench_net_config() {
 }
 
 /// The scaled Barnes-Hut workload (paper: 131072 bodies, 2 steps).
-inline apps::bh::BhConfig bh_config() {
+inline apps::bh::BhConfig bh_config(long default_bodies = 4096) {
   apps::bh::BhConfig cfg;
-  cfg.bodies = static_cast<int>(env_long("BH_BODIES", 4096));
+  cfg.bodies = static_cast<int>(env_long("BH_BODIES", default_bodies));
   cfg.steps = static_cast<int>(env_long("BH_STEPS", 2));
   return cfg;
 }
 
-/// The scaled Ilink workload (paper: CLP input, 180 iterations).
-inline apps::ilink::IlinkConfig ilink_config() {
-  apps::ilink::IlinkConfig cfg;
+/// The scaled Ilink workload (paper: CLP input, 180 iterations); each field
+/// falls back to `cfg`'s.
+inline apps::ilink::IlinkConfig ilink_config(apps::ilink::IlinkConfig cfg = {}) {
   cfg.families = static_cast<int>(env_long("ILINK_FAMILIES", cfg.families));
   cfg.children = static_cast<int>(env_long("ILINK_CHILDREN", cfg.children));
   cfg.genotypes = static_cast<int>(env_long("ILINK_GENOTYPES", cfg.genotypes));
@@ -154,8 +163,16 @@ inline apps::ilink::IlinkConfig ilink_config() {
   return cfg;
 }
 
+/// One diff server fields O(N) queued requests for a hot page; above 256
+/// nodes the retransmit timeout must cover that service backlog, or the
+/// protocol spends the run re-requesting (and eventually aborts).
+inline void scale_request_timeout(apps::harness::RunOptions& o) {
+  if (o.nodes > 256) o.tmk.request_timeout = sim::milliseconds(static_cast<std::int64_t>(o.nodes));
+}
+
 inline apps::harness::RunOptions options_for(apps::harness::Mode mode,
-                                             std::size_t nodes = bench_nodes()) {
+                                             std::size_t nodes = bench_nodes(),
+                                             long default_heap_mb = 24) {
   apps::harness::RunOptions o;
   o.mode = mode;
   o.nodes = nodes;
@@ -163,8 +180,21 @@ inline apps::harness::RunOptions options_for(apps::harness::Mode mode,
   o.net = bench_net_config();
   o.policy.kind = bench_policy();
   o.policy.pins = bench_pin_sites();
-  o.tmk.heap_bytes = static_cast<std::size_t>(env_long("HEAP_MB", 24)) << 20;
+  o.tmk.heap_bytes = static_cast<std::size_t>(env_long("HEAP_MB", default_heap_mb)) << 20;
+  scale_request_timeout(o);
   return o;
+}
+
+/// A report's per-site policy telemetry as "site:decisions/switches/final
+/// ..." ("-" outside Mode::Adaptive).
+inline std::string site_policy_cell(const apps::harness::RunReport& r) {
+  std::string out;
+  for (const auto& sp : r.site_policy) {
+    if (!out.empty()) out += ' ';
+    out += std::to_string(sp.site) + ':' + std::to_string(sp.decisions) + '/' +
+           std::to_string(sp.switches) + '/' + rse::policy::strategy_name(sp.final_strategy);
+  }
+  return out.empty() ? "-" : out;
 }
 
 inline std::string fmt1(double v) { return util::fmt_fixed(v, 1); }

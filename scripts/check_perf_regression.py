@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Perf regression gate for the simulator's pinned sweep (bench/perf_sim).
+"""Perf regression gate for the simulator's pinned sweep (`sweep perf`).
 
 Compares the events/sec of each (app, nodes) run in a freshly produced
 BENCH_sim.json against the committed baseline and fails if any run regressed
-by more than the tolerance (default 25%, matching the CI contract).
+by more than the tolerance (default 25%, matching the CI contract).  The
+deterministic columns -- checksum, sim_events and msgs -- must match the
+baseline exactly: the simulated schedule does not depend on the host, so
+any drift is a behaviour change that needs an explanation and a refresh.
 
 Coverage is part of the gate: a baseline run missing from the current sweep
 fails the check -- a silent skip would let a deleted or crashed benchmark
@@ -84,18 +87,25 @@ def main():
         print(f"{key[0]:>12} n={key[1]:<5} {cur:>14.0f} ev/s "
               f"(baseline {base:.0f}, {ratio:5.2f}x)  {status}")
 
-    # Correctness cross-check rides along for free: pinned runs must
-    # reproduce the baseline's checksums exactly, whatever the speed.
+    # Pinned runs must reproduce the baseline's deterministic columns
+    # exactly, whatever the speed: the checksum (the result) and the event
+    # and message counts (the simulated schedule).
     for key in shared:
         if abs(current[key]["checksum"] - baseline[key]["checksum"]) > 1e-6:
             print(f"error: checksum changed for {key}: "
                   f"{current[key]['checksum']} != {baseline[key]['checksum']}",
                   file=sys.stderr)
             failures.append(key)
+        for column in ("sim_events", "msgs"):
+            if current[key][column] != baseline[key][column]:
+                print(f"error: {column} changed for {key}: "
+                      f"{current[key][column]} != {baseline[key][column]}",
+                      file=sys.stderr)
+                failures.append(key)
 
     if failures:
         print(f"\nFAIL: {len(failures)} run(s) regressed more than "
-              f"{args.tolerance:.0%}, changed results, or went missing",
+              f"{args.tolerance:.0%}, changed results or schedules, or went missing",
               file=sys.stderr)
         return 1
     print(f"\nOK: {len(shared)} run(s) within {args.tolerance:.0%} of baseline")

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <memory>
 
 #include "ompnow/team.hpp"
@@ -123,6 +124,8 @@ struct Bench {
     for (const tmk::HubOccupancy& o : occ) {
       r.hub_busy_max_s = std::max(r.hub_busy_max_s, o.busy.seconds());
       r.hub_busy_total_s += o.busy.seconds();
+      r.hub_frames_max = std::max(r.hub_frames_max, o.mcast_msgs);
+      r.hub_frames_total += o.mcast_msgs;
     }
 
     if (policy) {
@@ -132,28 +135,20 @@ struct Bench {
       r.decisions = policy->decisions();
     }
 
-    // Per-site telemetry from the metrics registry (PolicyEngine records a
-    // labeled counter per decision; see policy_engine.cpp).
-    const obs::Registry& m = cluster->metrics();
-    for (const std::string& site : m.label_values("policy_decisions", "site")) {
-      RunReport::SitePolicy sp;
-      sp.site = static_cast<std::uint32_t>(std::stoul(site));
-      for (std::size_t s = 0; s < rse::policy::kStrategyCount; ++s) {
-        const char* strat = rse::policy::strategy_name(static_cast<rse::policy::SectionStrategy>(s));
-        sp.decisions += m.counter_value("policy_decisions", {{"site", site}, {"strategy", strat}});
-      }
-      sp.switches = m.counter_value("policy_switches", {{"site", site}});
-      sp.final_strategy = rse::policy::strategy_name(static_cast<rse::policy::SectionStrategy>(
-          static_cast<std::size_t>(m.gauge_value("policy_final_strategy", {{"site", site}}))));
-      r.site_policy.push_back(std::move(sp));
+    // Per-site telemetry, folded from the master's decision log.
+    std::map<std::uint32_t, RunReport::SitePolicy> sites;
+    for (const rse::policy::Decision& d : r.decisions) {
+      RunReport::SitePolicy& sp = sites[d.site];
+      sp.site = d.site;
+      ++sp.decisions;
+      sp.switches += d.switched ? 1 : 0;
+      sp.final_strategy = d.strategy;
     }
-    std::sort(r.site_policy.begin(), r.site_policy.end(),
-              [](const RunReport::SitePolicy& a, const RunReport::SitePolicy& b) {
-                return a.site < b.site;
-              });
+    for (const auto& entry : sites) r.site_policy.push_back(entry.second);
 
     // Correctness-checker violation counts (chk::Checker records one labeled
     // counter per oracle; nonzero only under a no-abort test config).
+    const obs::Registry& m = cluster->metrics();
     for (const std::string& checker : m.label_values("chk_violations", "checker")) {
       const std::uint64_t count = m.counter_value("chk_violations", {{"checker", checker}});
       r.check_violations += count;
@@ -180,6 +175,7 @@ struct Bench {
     r.seq_response_ms = seq_resp.mean();
     r.par_requests_avg = par_faults_total / static_cast<double>(nodes);
     r.par_response_ms = par_resp.mean();
+    r.par_response_max_ms = par_resp.max();
     r.par_fault_wait_max_s = par_wait_max.seconds();
     return r;
   }
@@ -213,6 +209,18 @@ RunReport run_ilink(const RunOptions& opt, const ilink::IlinkConfig& cfg) {
   return b.report(opt, res.total_time.seconds(), res.seq_time.seconds(),
                   res.par_time.seconds(), res.likelihood,
                   res.parallel_updates + res.serial_updates);
+}
+
+RunReport run_hotspot(const RunOptions& opt, const hotspot::HotspotConfig& cfg) {
+  Bench b(opt);
+  const hotspot::HotspotWorld world = hotspot::setup_world(*b.cluster, cfg);
+  hotspot::HotspotResult res;
+  const auto h0 = std::chrono::steady_clock::now();
+  const sim::SimDuration total =
+      b.cluster->run([&](tmk::NodeRuntime&) { res = hotspot::run_program(*b.team, world, cfg); });
+  b.host_wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - h0).count();
+  return b.report(opt, total.seconds(), res.seq_time.seconds(), res.par_time.seconds(),
+                  res.checksum, 0);
 }
 
 }  // namespace repseq::apps::harness

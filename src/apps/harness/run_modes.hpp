@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "apps/barnes_hut/bh.hpp"
+#include "apps/hotspot/hotspot.hpp"
 #include "apps/ilink/ilink.hpp"
 #include "net/net_config.hpp"
 #include "rse/controller.hpp"
@@ -71,6 +72,7 @@ struct RunReport {
   std::uint64_t par_kb = 0;
   double par_requests_avg = 0;  // "avg diff requests" per thread
   double par_response_ms = 0;
+  double par_response_max_ms = 0;  // slowest single parallel diff request
   double par_fault_wait_max_s = 0;  // slowest thread's diff-request time
   std::uint64_t recoveries = 0;
   std::uint64_t drops = 0;
@@ -82,6 +84,8 @@ struct RunReport {
   std::size_t hub_shards = 1;
   double hub_busy_max_s = 0;    // busiest shard's transmit time
   double hub_busy_total_s = 0;  // summed over shards
+  std::uint64_t hub_frames_max = 0;    // multicast frames on the busiest-by-frames shard
+  std::uint64_t hub_frames_total = 0;  // summed over shards
 
   // Per-section policy accounting (Mode::Adaptive; zero otherwise).
   std::uint64_t sections = 0;
@@ -92,14 +96,13 @@ struct RunReport {
   /// close-time reporting telemetry).
   std::vector<rse::policy::Decision> decisions;
 
-  /// Per-site decision telemetry, sourced from the cluster's metrics
-  /// registry (obs::Registry) rather than PhaseCounters: one row per
+  /// Per-site decision telemetry, folded from `decisions`: one row per
   /// decision site, numerically ordered.  Empty outside Mode::Adaptive.
   struct SitePolicy {
     std::uint32_t site = 0;
-    std::uint64_t decisions = 0;    // sections decided at this site
-    std::uint64_t switches = 0;     // switch points at this site
-    std::string final_strategy;     // the strategy the site settled on
+    std::uint64_t decisions = 0;  // sections decided at this site
+    std::uint64_t switches = 0;   // switch points at this site
+    rse::policy::SectionStrategy final_strategy{};  // the site's last decision
   };
   std::vector<SitePolicy> site_policy;
 
@@ -110,7 +113,7 @@ struct RunReport {
   // simulated cluster's): total events the engine executed, the high-water
   // mark of simultaneously scheduled events, and the host wall-clock the
   // run took.  events/sec = sim_events / host_wall_s is the headline number
-  // tracked by bench/perf_sim.
+  // tracked by `sweep perf`.
   std::uint64_t sim_events = 0;
   std::size_t peak_live_events = 0;
   double host_wall_s = 0;
@@ -124,5 +127,7 @@ struct RunReport {
 
 RunReport run_barnes_hut(const RunOptions& opt, const bh::BhConfig& cfg);
 RunReport run_ilink(const RunOptions& opt, const ilink::IlinkConfig& cfg);
+/// total_s is the whole cluster run, trailing protocol traffic included.
+RunReport run_hotspot(const RunOptions& opt, const hotspot::HotspotConfig& cfg);
 
 }  // namespace repseq::apps::harness

@@ -1,13 +1,14 @@
 // Labeled metrics registry: counters, gauges, and histograms keyed by
 // (name, sorted labels).  One Registry lives inside each tmk::Cluster so a
-// sweep's runs never contaminate each other; RunReport and the bench tables
-// read it through snapshot(), which is deterministically ordered.
+// sweep's runs never contaminate each other; snapshot() is
+// deterministically ordered.
 //
-// This replaces the grow-by-hand PhaseCounters extension path for new
-// telemetry: a layer that wants a new number calls
-//   cluster.metrics().counter("policy_decisions", {{"site", "1"}}).inc();
-// instead of threading a fresh field through stats.hpp, the reducers, and
-// every table printer.
+// A layer that wants a new number without a home in an existing report
+// struct records it here instead of threading a fresh field through
+// stats.hpp, the reducers, and every table printer -- the chk layer's
+// violation counts, for example:
+//   cluster.metrics().counter("chk_violations", {{"checker", "races"}}).inc();
+// A series that a report struct also holds is a duplicate: keep one.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 #include "rse/policy/policy_engine.hpp"
 
 #include <set>
-#include <string>
+#include <string_view>
 
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -185,16 +185,6 @@ SectionStrategy PolicyEngine::open_section(tmk::NodeRuntime& master, std::uint32
   d.switched = switched;
   log_[0].push_back(d);
 
-  // Registry: the per-site decision telemetry the sweep tables consume.
-  {
-    obs::Registry& m = cluster_.metrics();
-    const std::string site_label = std::to_string(site);
-    m.counter("policy_decisions", {{"site", site_label}, {"strategy", strategy_name(chosen)}})
-        .inc();
-    if (switched) m.counter("policy_switches", {{"site", site_label}}).inc();
-    m.gauge("policy_final_strategy", {{"site", site_label}})
-        .set(static_cast<double>(static_cast<std::size_t>(chosen)));
-  }
   if (obs::enabled(obs::Cat::Rse)) [[unlikely]] {
     // The decision with its full cost-model inputs: the profile the costs
     // were computed from plus the per-strategy costs themselves (recomputed
@@ -277,10 +267,6 @@ void PolicyEngine::close_section(tmk::NodeRuntime& master) {
   Decision& d = log_[0].back();
   d.section_s = (cluster_.engine().now() - open_t0_).seconds();
   d.mcast_kb = static_cast<double>(total_seq_mcast_bytes() - snap_mcast_bytes_) / 1024.0;
-  cluster_.metrics()
-      .histogram("section_seconds", {{"site", std::to_string(open_site_)},
-                                     {"strategy", strategy_name(open_strategy_)}})
-      .observe(d.section_s);
 
   aftermath_pending_ = true;
   aftermath_site_ = open_site_;

@@ -8,8 +8,8 @@
 // the event order -- and therefore the whole simulation -- deterministic
 // (the (time, seq) order is total).  The heap is 4-ary: a shallower tree
 // whose sift-down touches one cache line of children per level.  A binary
-// heap measured within run-to-run noise of it on the 256-node perf_sim
-// sweep (4-core x86-64 host), so the arity is fixed.
+// heap measured within run-to-run noise of it on the 256-node `sweep perf`
+// run (4-core x86-64 host), so the arity is fixed.
 //
 // Cancellation is O(1) and eager on the slot, lazy on the heap: the slot's
 // callback is destroyed and the slot recycled immediately (generation

@@ -47,9 +47,33 @@ inline std::uint32_t bucket_for(std::size_t bytes) {
   return kUnpooled;
 }
 
-inline std::vector<void*>& free_list(std::uint32_t bucket) {
-  thread_local std::vector<void*> lists[kBuckets];
-  return lists[bucket];
+inline void free_block(void* blk) {
+  ::operator delete(blk, std::align_val_t{alignof(std::max_align_t)});
+}
+
+/// Set once this thread's free lists are destroyed.  Trivially destructible,
+/// so it stays readable while later thread-exit and static destructors
+/// release their last PoolPtrs; those blocks go straight to the allocator.
+inline thread_local bool lists_torn_down = false;
+
+/// The per-thread free lists.  Thread exit hands every parked block back to
+/// the allocator, so a leak checker sees no pool memory left behind.
+struct FreeLists {
+  std::vector<void*> lists[kBuckets];
+
+  ~FreeLists() {
+    for (const std::vector<void*>& fl : lists) {
+      for (void* blk : fl) free_block(blk);
+    }
+    lists_torn_down = true;
+  }
+};
+
+/// The bucket's free list, or nullptr once the lists are torn down.
+inline std::vector<void*>* free_list(std::uint32_t bucket) {
+  if (lists_torn_down) return nullptr;
+  thread_local FreeLists fl;
+  return &fl.lists[bucket];
 }
 
 /// Returns a block with room for `bytes` of object storage; the header is
@@ -58,10 +82,10 @@ inline void* acquire_block(std::size_t bytes, std::uint32_t& bucket_out) {
   const std::uint32_t b = bucket_for(bytes);
   bucket_out = b;
   if (b != kUnpooled) {
-    auto& fl = free_list(b);
-    if (!fl.empty()) {
-      void* blk = fl.back();
-      fl.pop_back();
+    std::vector<void*>* fl = free_list(b);
+    if (fl != nullptr && !fl->empty()) {
+      void* blk = fl->back();
+      fl->pop_back();
       return blk;
     }
     return ::operator new(kHeaderBytes + (kMinBucketBytes << b),
@@ -72,10 +96,11 @@ inline void* acquire_block(std::size_t bytes, std::uint32_t& bucket_out) {
 }
 
 inline void release_block(void* blk, std::uint32_t bucket) {
-  if (bucket != kUnpooled) {
-    free_list(bucket).push_back(blk);
+  std::vector<void*>* fl = bucket != kUnpooled ? free_list(bucket) : nullptr;
+  if (fl != nullptr) {
+    fl->push_back(blk);
   } else {
-    ::operator delete(blk, std::align_val_t{alignof(std::max_align_t)});
+    free_block(blk);
   }
 }
 

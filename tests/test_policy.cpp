@@ -274,6 +274,34 @@ TEST(Policy, BootstrapProbesEverySiteThenSettles) {
   }
 }
 
+// RunReport::site_policy is a per-site fold of the decision log: its counts
+// sum to the run's totals, and each site's final strategy is its last
+// decision.  The hot-spot producer/consumer sections switch once each after
+// their bootstrap probes, so the fold has switches to count.
+TEST(Policy, SitePolicyFoldsTheDecisionLog) {
+  apps::hotspot::HotspotConfig cfg;
+  cfg.rounds = 4;
+  cfg.write_site = 1;
+  cfg.read_site = 2;
+  const RunReport r = apps::harness::run_hotspot(opts(Mode::Adaptive, 6), cfg);
+  ASSERT_EQ(r.site_policy.size(), 2u);
+  EXPECT_EQ(r.site_policy[0].site, 1u);
+  EXPECT_EQ(r.site_policy[1].site, 2u);
+  std::uint64_t decisions = 0;
+  std::uint64_t switches = 0;
+  for (const RunReport::SitePolicy& sp : r.site_policy) {
+    decisions += sp.decisions;
+    switches += sp.switches;
+    const auto last = std::find_if(r.decisions.rbegin(), r.decisions.rend(),
+                                   [&sp](const Decision& d) { return d.site == sp.site; });
+    ASSERT_NE(last, r.decisions.rend());
+    EXPECT_EQ(sp.final_strategy, last->strategy) << "site " << sp.site;
+  }
+  EXPECT_EQ(decisions, r.sections);
+  EXPECT_EQ(switches, r.policy_switches);
+  EXPECT_GT(r.policy_switches, 0u);
+}
+
 // The headline acceptance claim, at the paper's 32-node scale: adaptive
 // lands within 5% of the best static mode for each application, strictly
 // beats the worst, reproduces the exact checksums, and the two applications

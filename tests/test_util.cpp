@@ -1,10 +1,38 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
+#include "util/pool_ptr.hpp"
 #include "util/stats_accum.hpp"
 #include "util/table.hpp"
 
 namespace repseq::util {
 namespace {
+
+std::atomic<bool> g_released_after_teardown{false};
+
+/// Constructed before its thread's pool free lists, so destroyed after them.
+struct LateHolder {
+  PoolPtr<int> p;
+  ~LateHolder() { g_released_after_teardown = pool_detail::lists_torn_down; }
+};
+
+TEST(PoolPtr, ThreadExitFreesParkedBlocksAndLateReleasesBypassTheLists) {
+  int late_value = 0;
+  std::thread t([&late_value] {
+    thread_local LateHolder late;
+    late.p = make_pooled<int>(7);  // the thread's first pool use builds its lists
+    PoolPtr<int> parked = make_pooled<int>(8);
+    parked = nullptr;  // parks a block, which the teardown must free
+    late_value = *late.p;
+  });
+  t.join();
+  EXPECT_EQ(late_value, 7);
+  // The late PoolPtr was released after the teardown: its block went to
+  // operator delete, not into a destroyed vector (ASan/LSan check both).
+  EXPECT_TRUE(g_released_after_teardown);
+}
 
 TEST(Accumulator, EmptyIsZero) {
   Accumulator a;
